@@ -191,7 +191,7 @@ func New(cfg mcs.Config) ([]*Node, error) {
 		}
 		node.ackCond = sync.NewCond(&node.ackMu)
 		node.epochCond = sync.NewCond(&node.mu)
-		node.rcv = mcs.NewRecovery(cfg, i, &node.mu)
+		node.rcv = mcs.NewRecovery(cfg, i, &node.mu, node)
 		node.rcv.OnDone = node.finishRejoinLocked
 		node.rcf = mcs.NewReconfig(cfg, i, &node.mu, node, ix)
 		nodes[i] = node
@@ -491,6 +491,19 @@ func (n *Node) sendWriteAck(requester, xi int, rseq uint32) {
 	})
 }
 
+// readRespLocked builds the answer to read request rid from the
+// authoritative copy of xi; the caller sends it. Called with mu held.
+func (n *Node) readRespLocked(reader int, rid uint32, xi int) netsim.Message {
+	var enc mcs.Enc
+	enc.SetBuf(mcs.GetPayload())
+	enc.U32(rid).Raw(n.store.Get(xi))
+	return netsim.Message{
+		From: n.id, To: reader, Kind: KindReadResp,
+		Payload: enc.Bytes(), CtrlBytes: 4, DataBytes: enc.Len() - 4,
+		Vars: n.ix.MsgVars(xi),
+	}
+}
+
 // sendReadBounce tells a reader its request was routed under a stale
 // epoch: retry after reaching epoch.
 func (n *Node) sendReadBounce(reader, xi int, rid uint32, epoch uint64) {
@@ -591,15 +604,9 @@ func (n *Node) handle(msg netsim.Message) {
 			n.mu.Unlock()
 			return
 		}
-		var enc mcs.Enc
-		enc.SetBuf(mcs.GetPayload())
-		enc.U32(rid).Raw(n.store.Get(xi))
+		resp := n.readRespLocked(msg.From, rid, xi)
 		n.mu.Unlock()
-		n.cfg.Net.Send(netsim.Message{
-			From: n.id, To: msg.From, Kind: KindReadResp,
-			Payload: enc.Bytes(), CtrlBytes: 4, DataBytes: enc.Len() - 4,
-			Vars: n.ix.MsgVars(xi),
-		})
+		n.cfg.Net.Send(resp)
 	case KindWriteAck:
 		d := mcs.DecOf(msg.Payload)
 		rseq := d.U32()
@@ -634,10 +641,8 @@ func (n *Node) handle(msg netsim.Message) {
 		}
 		mcs.PutPayload(msg.Payload)
 		n.deliverReadReply(readReply{rid: rid, bounceEpoch: epoch})
-	case mcs.KindSnapReq:
-		n.handleSnapReq(msg)
-	case mcs.KindSnapResp:
-		n.handleSnapResp(msg)
+	case mcs.KindSnapReq, mcs.KindSnapResp:
+		n.rcv.Handle(msg)
 	default:
 		if mcs.IsEpochKind(msg.Kind) {
 			n.rcf.Handle(msg)
@@ -677,120 +682,6 @@ func (n *Node) deliverReadReply(rep readReply) {
 	}
 }
 
-// handleSnapReq answers a rejoining peer p with this node's sent-count
-// toward p (so p rebuilds its duplicate-suppression cursor at least as
-// high as every request already issued) and the own-write cache entries
-// for variables p owns. A request issued while p was down is then
-// re-acked without re-applying, which is safe precisely because the
-// latest own write per variable rides in this same snapshot.
-func (n *Node) handleSnapReq(msg netsim.Message) {
-	defer mcs.RecycleFrame(msg)
-	d := mcs.DecOf(msg.Payload)
-	epoch := d.U32()
-	if err := d.Err(); err != nil {
-		n.cfg.Faultf(n.id, "atomicreg: node %d: malformed snapshot request from %d: %v", n.id, msg.From, err)
-		return
-	}
-	if msg.From < 0 || msg.From >= len(n.expected) {
-		n.cfg.Faultf(n.id, "atomicreg: node %d: snapshot request from unknown node %d", n.id, msg.From)
-		return
-	}
-	n.ackMu.Lock()
-	reqs := n.sent[msg.From]
-	n.ackMu.Unlock()
-	var enc mcs.Enc
-	enc.SetBuf(mcs.GetPayload())
-	enc.U32(epoch).U32(uint32(reqs))
-	var vars []string
-	pos := enc.Len()
-	enc.U32(0)
-	nVals, data := 0, 0
-	n.mu.Lock()
-	for _, xi := range n.ix.VarIDs(n.id) {
-		t := n.ownTags[xi]
-		if t.Writer != n.id {
-			continue
-		}
-		if n.ix.Owner(xi) != msg.From {
-			continue
-		}
-		v := n.ownVals.Get(xi)
-		enc.U32(uint32(t.WSeq)).VarVal(xi, v)
-		vars = append(vars, n.ix.Name(xi))
-		data += len(v)
-		nVals++
-	}
-	n.mu.Unlock()
-	enc.PatchU32(pos, uint32(nVals))
-	payload := enc.Bytes()
-	n.cfg.Net.Send(netsim.Message{
-		From:      n.id,
-		To:        msg.From,
-		Kind:      mcs.KindSnapResp,
-		Payload:   payload,
-		CtrlBytes: len(payload) - data,
-		DataBytes: data,
-		Vars:      vars,
-	})
-}
-
-// handleSnapResp merges one requester's snapshot into the rejoining
-// primary: expected[from] rises to that requester's sent count, and
-// own-write candidates re-populate the authoritative copies. Adoption
-// is deterministic regardless of response arrival order: an empty slot
-// always adopts, a same-writer candidate adopts exactly when newer, and
-// across writers the higher sequence wins with ties to the lower id.
-func (n *Node) handleSnapResp(msg netsim.Message) {
-	defer mcs.RecycleFrame(msg)
-	d := mcs.DecOf(msg.Payload)
-	epoch := d.U32()
-	reqs := d.U32()
-	nVals := int(d.U32())
-	if err := d.Err(); err != nil {
-		n.cfg.Faultf(n.id, "atomicreg: node %d: malformed snapshot from %d: %v", n.id, msg.From, err)
-		return
-	}
-	if msg.From < 0 || msg.From >= len(n.expected) {
-		n.cfg.Faultf(n.id, "atomicreg: node %d: snapshot from unknown node %d", n.id, msg.From)
-		return
-	}
-	n.mu.Lock()
-	if !n.rcv.Accept(msg.From, epoch) {
-		n.mu.Unlock()
-		return
-	}
-	if reqs > n.expected[msg.From] {
-		n.expected[msg.From] = reqs
-	}
-	for k := 0; k < nVals; k++ {
-		s := int(d.U32())
-		xi, v := d.VarVal()
-		if err := d.Err(); err != nil {
-			n.mu.Unlock()
-			n.cfg.Faultf(n.id, "atomicreg: node %d: malformed snapshot entry from %d: %v", n.id, msg.From, err)
-			return
-		}
-		if xi < 0 || xi >= len(n.store) {
-			n.mu.Unlock()
-			n.cfg.Faultf(n.id, "atomicreg: node %d: snapshot entry from %d names unknown VarID %d", n.id, msg.From, xi)
-			return
-		}
-		w := msg.From
-		cur := n.storeTags[xi]
-		adopt := cur.Writer < 0 || s > cur.WSeq || (s == cur.WSeq && w < cur.Writer)
-		if !adopt {
-			continue
-		}
-		n.store.Set(xi, v)
-		n.storeTags[xi] = mcs.WriteTag{Writer: w, WSeq: s}
-		if rec := n.cfg.Recorder; rec != nil {
-			rec.RecordRecoverAt(n.id, w, s, n.ix.Name(xi), v, n.ix.Epoch())
-		}
-	}
-	n.rcv.FinishResponse()
-	n.mu.Unlock()
-}
-
 // finishRejoinLocked closes the rejoin window (Recovery.OnDone, node
 // lock held): owned variables no surviving requester had a cached
 // write for are recorded as ⊥ resets, then the reads parked during the
@@ -809,14 +700,7 @@ func (n *Node) finishRejoinLocked() {
 		}
 	}
 	for _, hr := range n.heldReads {
-		var enc mcs.Enc
-		enc.SetBuf(mcs.GetPayload())
-		enc.U32(hr.rid).Raw(n.store.Get(hr.xi))
-		outs = append(outs, netsim.Message{
-			From: n.id, To: hr.from, Kind: KindReadResp,
-			Payload: enc.Bytes(), CtrlBytes: 4, DataBytes: enc.Len() - 4,
-			Vars: n.ix.MsgVars(hr.xi),
-		})
+		outs = append(outs, n.readRespLocked(hr.from, hr.rid, hr.xi))
 	}
 	n.heldReads = nil
 	if len(outs) > 0 {
@@ -946,20 +830,49 @@ func (n *Node) ReconfigDonorLocked(xi int, cur *sharegraph.Index, live []bool) i
 	return -1
 }
 
-// ReconfigEncodeLocked answers a gaining owner with the fence-settled
-// authoritative (writer, wseq, value) of each requested variable, the
-// same entry format as a recovery snapshot (mcs.ReconfigHooks).
-func (n *Node) ReconfigEncodeLocked(enc *mcs.Enc, requester int, varIDs []int, next *sharegraph.Index) (data int, vars []string) {
+// RejoinVarsLocked lists the variables this node holds that a
+// rejoining peer owns (mcs.StateCodec): a crashed primary re-learns its
+// authoritative copies from the requesters that wrote through it.
+func (n *Node) RejoinVarsLocked(peer int, ids []int) []int {
+	for _, xi := range n.ix.VarIDs(n.id) {
+		if n.ix.Owner(xi) == peer {
+			ids = append(ids, xi)
+		}
+	}
+	return ids
+}
+
+// EncodeStateLocked writes per-variable (wseq, value) entries
+// (mcs.StateCodec). A migration hands a gaining owner the fence-settled
+// authoritative copies, each led by its writer. A rejoin answers a
+// crashed primary p from the requester side instead: this node's
+// sent-count toward p leads the body (so p rebuilds its
+// duplicate-suppression cursor at least as high as every request
+// already issued), and the entries are this node's own-write cache —
+// the writer is the sender. A request issued while p was down is then
+// re-acked without re-applying, which is safe precisely because the
+// latest own write per variable rides in this same snapshot.
+func (n *Node) EncodeStateLocked(enc *mcs.Enc, peer int, varIDs []int, how mcs.Transfer) (data int, vars []string) {
+	vals, tags := n.store, n.storeTags
+	if how == mcs.Rejoin {
+		vals, tags = n.ownVals, n.ownTags
+		n.ackMu.Lock()
+		enc.U32(uint32(n.sent[peer]))
+		n.ackMu.Unlock()
+	}
 	countPos := enc.Len()
 	enc.U32(0)
 	count := 0
 	for _, xi := range varIDs {
-		if xi < 0 || xi >= len(n.storeTags) || n.storeTags[xi].Writer < 0 {
+		t := tags[xi]
+		if t.Writer < 0 || how == mcs.Rejoin && t.Writer != n.id {
 			continue
 		}
-		t := n.storeTags[xi]
-		v := n.store.Get(xi)
-		enc.U32(uint32(t.Writer)).U32(uint32(t.WSeq)).VarVal(xi, v)
+		if how == mcs.Migration {
+			enc.U32(uint32(t.Writer))
+		}
+		v := vals.Get(xi)
+		enc.U32(uint32(t.WSeq)).VarVal(xi, v)
 		vars = append(vars, n.ix.Name(xi))
 		data += len(v)
 		count++
@@ -968,23 +881,47 @@ func (n *Node) ReconfigEncodeLocked(enc *mcs.Enc, requester int, varIDs []int, n
 	return data, vars
 }
 
-// ReconfigMergeLocked stages one donor's transfer entries
-// (mcs.ReconfigHooks). Nothing is installed or recorded yet: the store
-// and the event logs change only at the flip, so an aborted attempt
-// leaves no trace.
-func (n *Node) ReconfigMergeLocked(d *mcs.Dec, from int, next *sharegraph.Index) error {
+// MergeStateLocked merges a peer's body (mcs.StateCodec). A migration's
+// entries are only staged: the store and the event logs change at the
+// flip, so an aborted attempt leaves no trace. A rejoin raises
+// expected[from] to that requester's sent count and re-populates the
+// authoritative copies from its own-write candidates; adoption is
+// deterministic regardless of response arrival order: an empty slot
+// always adopts, a same-writer candidate adopts exactly when newer, and
+// across writers the higher sequence wins with ties to the lower id.
+func (n *Node) MergeStateLocked(d *mcs.Dec, from int, how mcs.Transfer) error {
+	if how == mcs.Rejoin {
+		if reqs := d.U32(); reqs > n.expected[from] {
+			n.expected[from] = reqs
+		}
+	}
 	count := int(d.U32())
 	for k := 0; k < count; k++ {
-		w := int(d.U32())
+		w := from
+		if how == mcs.Migration {
+			w = int(d.U32())
+		}
 		s := int(d.U32())
 		xi, v := d.VarVal()
 		if err := d.Err(); err != nil {
 			return err
 		}
 		if xi < 0 || xi >= len(n.store) || w < 0 || w >= n.cfg.Net.NumNodes() {
-			return fmt.Errorf("atomicreg: transfer entry names unknown VarID %d / writer %d", xi, w)
+			return fmt.Errorf("atomicreg: entry names unknown VarID %d / writer %d", xi, w)
 		}
-		n.mig = append(n.mig, migEntry{xi: xi, writer: w, wseq: s, v: append(mcs.GetPayload(), v...)})
+		if how == mcs.Migration {
+			n.mig = append(n.mig, migEntry{xi: xi, writer: w, wseq: s, v: append(mcs.GetPayload(), v...)})
+			continue
+		}
+		cur := n.storeTags[xi]
+		if adopt := cur.Writer < 0 || s > cur.WSeq || (s == cur.WSeq && w < cur.Writer); !adopt {
+			continue
+		}
+		n.store.Set(xi, v)
+		n.storeTags[xi] = mcs.WriteTag{Writer: w, WSeq: s}
+		if rec := n.cfg.Recorder; rec != nil {
+			rec.RecordRecoverAt(n.id, w, s, n.ix.Name(xi), v, n.ix.Epoch())
+		}
 	}
 	return d.Err()
 }
@@ -1039,14 +976,7 @@ func (n *Node) ReconfigFlipLocked(next *sharegraph.Index) {
 	heldR := n.heldEpochReads
 	n.heldEpochReads = nil
 	for _, hr := range heldR {
-		var enc mcs.Enc
-		enc.SetBuf(mcs.GetPayload())
-		enc.U32(hr.rid).Raw(n.store.Get(hr.xi))
-		n.cfg.Net.Send(netsim.Message{
-			From: n.id, To: hr.from, Kind: KindReadResp,
-			Payload: enc.Bytes(), CtrlBytes: 4, DataBytes: enc.Len() - 4,
-			Vars: n.ix.MsgVars(hr.xi),
-		})
+		n.cfg.Net.Send(n.readRespLocked(hr.from, hr.rid, hr.xi))
 	}
 }
 

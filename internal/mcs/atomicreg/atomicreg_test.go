@@ -153,13 +153,13 @@ func TestReadRacingFlipBouncesAndRetries(t *testing.T) {
 	enc.SetBuf(mcs.GetPayload())
 	nodes[0].mu.Lock()
 	nodes[0].ReconfigFenceLocked(next)
-	nodes[0].ReconfigEncodeLocked(&enc, 1, []int{xi}, next)
+	nodes[0].EncodeStateLocked(&enc, 1, []int{xi}, mcs.Migration)
 	nodes[0].ReconfigFlipLocked(next)
 	nodes[0].mu.Unlock()
 	nodes[1].mu.Lock()
 	nodes[1].ReconfigFenceLocked(next)
 	d := mcs.DecOf(enc.Bytes())
-	err = nodes[1].ReconfigMergeLocked(&d, 0, next)
+	err = nodes[1].MergeStateLocked(&d, 0, mcs.Migration)
 	if err == nil {
 		nodes[1].ReconfigFlipLocked(next)
 	}

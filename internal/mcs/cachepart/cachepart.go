@@ -150,7 +150,7 @@ func New(cfg mcs.Config) ([]*Node, error) {
 			vseq:     make([]int, ix.NumVars()),
 		}
 		node.applied = sync.NewCond(&node.mu)
-		node.rcv = mcs.NewRecovery(cfg, i, &node.mu)
+		node.rcv = mcs.NewRecovery(cfg, i, &node.mu, node)
 		node.rcv.OnDone = node.finishRejoinLocked
 		node.rcf = mcs.NewReconfig(cfg, i, &node.mu, node, ix)
 		nodes[i] = node
@@ -312,10 +312,8 @@ func (n *Node) handle(msg netsim.Message) {
 		n.sequence(msg)
 	case KindUpdate:
 		n.applyUpdate(msg)
-	case mcs.KindSnapReq:
-		n.handleSnapReq(msg)
-	case mcs.KindSnapResp:
-		n.handleSnapResp(msg)
+	case mcs.KindSnapReq, mcs.KindSnapResp:
+		n.rcv.Handle(msg)
 	default:
 		if mcs.IsEpochKind(msg.Kind) {
 			n.rcf.Handle(msg)
@@ -519,99 +517,6 @@ func (n *Node) settleOwnLocked(xi, writer, wseq int) {
 	}
 }
 
-// handleSnapReq answers a rejoining peer with, per mutually-replicated
-// written variable: the apply cursor, the last applied write's
-// (writer, wseq) tag and the value. Snapshot traffic stays inside the
-// cliques both nodes belong to, preserving the protocol's efficiency.
-func (n *Node) handleSnapReq(msg netsim.Message) {
-	defer mcs.RecycleFrame(msg)
-	d := mcs.DecOf(msg.Payload)
-	epoch := d.U32()
-	if err := d.Err(); err != nil {
-		n.cfg.Faultf(n.id, "cachepart: node %d: malformed snapshot request from %d: %v", n.id, msg.From, err)
-		return
-	}
-	var enc mcs.Enc
-	enc.SetBuf(mcs.GetPayload())
-	enc.U32(epoch)
-	countPos := enc.Len()
-	enc.U32(0)
-	var vars []string
-	count, data := 0, 0
-	n.mu.Lock()
-	for _, xi := range n.ix.VarIDs(n.id) {
-		t := n.tags[xi]
-		if n.nextSeq[xi] == 0 || t.Writer < 0 || !n.ix.Holds(msg.From, xi) {
-			continue
-		}
-		v := n.replicas.Get(xi)
-		enc.U32(uint32(n.nextSeq[xi])).U32(uint32(t.Writer)).U32(uint32(t.WSeq)).VarVal(xi, v)
-		vars = append(vars, n.ix.Name(xi))
-		data += len(v)
-		count++
-	}
-	n.mu.Unlock()
-	enc.PatchU32(countPos, uint32(count))
-	payload := enc.Bytes()
-	n.cfg.Net.Send(netsim.Message{
-		From:      n.id,
-		To:        msg.From,
-		Kind:      mcs.KindSnapResp,
-		Payload:   payload,
-		CtrlBytes: len(payload) - data,
-		DataBytes: data,
-		Vars:      vars,
-	})
-}
-
-// handleSnapResp merges one peer snapshot per variable: each
-// variable's updates form one total order, so the highest apply cursor
-// wins and adopting its value and cursor together keeps them
-// consistent.
-func (n *Node) handleSnapResp(msg netsim.Message) {
-	defer mcs.RecycleFrame(msg)
-	d := mcs.DecOf(msg.Payload)
-	epoch := d.U32()
-	count := int(d.U32())
-	if err := d.Err(); err != nil {
-		n.cfg.Faultf(n.id, "cachepart: node %d: malformed snapshot from %d: %v", n.id, msg.From, err)
-		return
-	}
-	n.mu.Lock()
-	if !n.rcv.Accept(msg.From, epoch) {
-		n.mu.Unlock()
-		return
-	}
-	for k := 0; k < count; k++ {
-		cursor := int(d.U32())
-		w := int(d.U32())
-		s := int(d.U32())
-		xi, v := d.VarVal()
-		if err := d.Err(); err != nil {
-			n.mu.Unlock()
-			n.cfg.Faultf(n.id, "cachepart: node %d: malformed snapshot entry from %d: %v", n.id, msg.From, err)
-			return
-		}
-		if xi < 0 || xi >= n.ix.NumVars() || w < 0 || w >= n.cfg.Net.NumNodes() {
-			n.mu.Unlock()
-			n.cfg.Faultf(n.id, "cachepart: node %d: snapshot entry from %d names unknown VarID %d / writer %d",
-				n.id, msg.From, xi, w)
-			return
-		}
-		if cursor <= n.nextSeq[xi] {
-			continue
-		}
-		n.nextSeq[xi] = cursor
-		n.replicas.Set(xi, v)
-		n.tags[xi] = mcs.WriteTag{Writer: w, WSeq: s}
-		if rec := n.cfg.Recorder; rec != nil {
-			rec.RecordRecoverAt(n.id, w, s, n.ix.Name(xi), v, n.ix.Epoch())
-		}
-	}
-	n.rcv.FinishResponse()
-	n.mu.Unlock()
-}
-
 // finishRejoinLocked closes the rejoin window (Recovery.OnDone, node
 // lock held): buffered updates below the adopted cursors — pre-crash
 // stragglers the snapshots already cover — are purged, each variable's
@@ -713,29 +618,34 @@ func (n *Node) ReconfigFenceLocked(next *sharegraph.Index) {
 // member agrees on the value. The sequencer role itself carries no
 // state beyond the counter, which restarts at zero cluster-wide.
 func (n *Node) ReconfigTransferVarsLocked(next *sharegraph.Index) []int {
-	var gained []int
-	for _, xi := range next.VarIDs(n.id) {
-		if !n.ix.Holds(n.id, xi) {
-			gained = append(gained, xi)
-		}
-	}
-	return gained
+	return n.ix.Gained(next, n.id)
 }
 
-// ReconfigEncodeLocked answers a gaining node with the fence-settled
-// tagged value of each requested variable (mcs.ReconfigHooks). No
-// apply cursor travels: a gained variable's assignment changed by
-// definition, so its stream numbering restarts at zero on every clique
-// member at the flip.
-func (n *Node) ReconfigEncodeLocked(enc *mcs.Enc, requester int, varIDs []int, next *sharegraph.Index) (data int, vars []string) {
+// RejoinVarsLocked lists the variables a rejoining peer shares with
+// this node (mcs.StateCodec): snapshot traffic stays inside the cliques
+// both nodes belong to, preserving the protocol's efficiency.
+func (n *Node) RejoinVarsLocked(peer int, ids []int) []int {
+	return n.ix.AppendShared(ids, n.id, peer)
+}
+
+// EncodeStateLocked writes, per written variable of varIDs, the last
+// applied write's (writer, wseq) tag and value (mcs.StateCodec). A
+// rejoin leads each entry with the variable's apply cursor (and skips
+// variables with none yet); a migration carries no cursor: a gained
+// variable's assignment changed by definition, so its stream numbering
+// restarts at zero on every clique member at the flip.
+func (n *Node) EncodeStateLocked(enc *mcs.Enc, peer int, varIDs []int, how mcs.Transfer) (data int, vars []string) {
 	countPos := enc.Len()
 	enc.U32(0)
 	count := 0
 	for _, xi := range varIDs {
-		if xi < 0 || xi >= len(n.tags) || n.tags[xi].Writer < 0 {
+		t := n.tags[xi]
+		if t.Writer < 0 || how == mcs.Rejoin && n.nextSeq[xi] == 0 {
 			continue
 		}
-		t := n.tags[xi]
+		if how == mcs.Rejoin {
+			enc.U32(uint32(n.nextSeq[xi]))
+		}
 		v := n.replicas.Get(xi)
 		enc.U32(uint32(t.Writer)).U32(uint32(t.WSeq)).VarVal(xi, v)
 		vars = append(vars, n.ix.Name(xi))
@@ -746,15 +656,25 @@ func (n *Node) ReconfigEncodeLocked(enc *mcs.Enc, requester int, varIDs []int, n
 	return data, vars
 }
 
-// ReconfigMergeLocked adopts one donor's transfer entries: values pass
-// the usual staleness rule and are recorded as migration events — the
-// cache monitor re-anchors the variable's position from them
-// (mcs.ReconfigHooks). Merged state is harmless if the attempt aborts:
-// it carries valid tagged writes for variables the node simply won't
-// serve.
-func (n *Node) ReconfigMergeLocked(d *mcs.Dec, from int, next *sharegraph.Index) error {
+// MergeStateLocked merges a peer's entries (mcs.StateCodec). On a
+// rejoin each variable's updates form one total order, so the highest
+// apply cursor wins and adopting its value and cursor together keeps
+// them consistent. Migration values pass the usual staleness rule and
+// are recorded at the pending epoch — the cache monitor re-anchors the
+// variable's position from them; merged state is harmless if the
+// attempt aborts (valid tagged writes for variables the node simply
+// won't serve).
+func (n *Node) MergeStateLocked(d *mcs.Dec, from int, how mcs.Transfer) error {
+	epoch := n.ix.Epoch()
+	if how == mcs.Migration {
+		epoch = n.rcf.PendingIndexLocked().Epoch()
+	}
 	count := int(d.U32())
 	for k := 0; k < count; k++ {
+		cursor := 0
+		if how == mcs.Rejoin {
+			cursor = int(d.U32())
+		}
 		w := int(d.U32())
 		s := int(d.U32())
 		xi, v := d.VarVal()
@@ -762,15 +682,20 @@ func (n *Node) ReconfigMergeLocked(d *mcs.Dec, from int, next *sharegraph.Index)
 			return err
 		}
 		if xi < 0 || xi >= n.ix.NumVars() || w < 0 || w >= n.cfg.Net.NumNodes() {
-			return fmt.Errorf("cachepart: transfer entry names unknown VarID %d / writer %d", xi, w)
+			return fmt.Errorf("cachepart: entry names unknown VarID %d / writer %d", xi, w)
 		}
-		if n.tags[xi].Stale(w, s) {
+		if how == mcs.Rejoin {
+			if cursor <= n.nextSeq[xi] {
+				continue
+			}
+			n.nextSeq[xi] = cursor
+		} else if n.tags[xi].Stale(w, s) {
 			continue
 		}
 		n.replicas.Set(xi, v)
 		n.tags[xi] = mcs.WriteTag{Writer: w, WSeq: s}
 		if rec := n.cfg.Recorder; rec != nil {
-			rec.RecordMigrateAt(n.id, w, s, n.ix.Name(xi), v, next.Epoch())
+			rec.RecordTransfer(how, n.id, w, s, n.ix.Name(xi), v, epoch)
 		}
 	}
 	return d.Err()
@@ -818,16 +743,7 @@ func (n *Node) ReconfigFlipLocked(next *sharegraph.Index) {
 	n.ix = next
 	n.fence.LiftLocked()
 	n.applied.Broadcast()
-	held := n.heldReqs
-	n.heldReqs = nil
-	for _, h := range held {
-		if n.ix.Owner(h.xi) == n.id {
-			n.sequenceLocked(h.writer, h.wseq, h.xi, h.v)
-		} else {
-			n.forwardLocked(h.writer, h.wseq, h.xi, h.v)
-		}
-		mcs.PutPayload(h.v)
-	}
+	n.releaseHeldReqsLocked()
 	if len(n.futures) > 0 {
 		futures := n.futures
 		n.futures = nil
@@ -839,6 +755,23 @@ func (n *Node) ReconfigFlipLocked(next *sharegraph.Index) {
 			n.applyUpdateLocked(f.seq, f.writer, f.wseq, f.xi, f.v)
 			mcs.PutPayload(f.v)
 		}
+	}
+}
+
+// releaseHeldReqsLocked re-enters the requests parked across the
+// transition window, in arrival order: sequenced here if this node
+// owns the variable under the current epoch, forwarded to its owner
+// otherwise.
+func (n *Node) releaseHeldReqsLocked() {
+	held := n.heldReqs
+	n.heldReqs = nil
+	for _, h := range held {
+		if n.ix.Owner(h.xi) == n.id {
+			n.sequenceLocked(h.writer, h.wseq, h.xi, h.v)
+		} else {
+			n.forwardLocked(h.writer, h.wseq, h.xi, h.v)
+		}
+		mcs.PutPayload(h.v)
 	}
 }
 
@@ -860,16 +793,7 @@ func (n *Node) purgeBufferedLocked(xi int) {
 // definition, so this node's own commit is still in flight.
 func (n *Node) ReconfigAbortLocked() {
 	n.fence.LiftLocked()
-	held := n.heldReqs
-	n.heldReqs = nil
-	for _, h := range held {
-		if n.ix.Owner(h.xi) == n.id {
-			n.sequenceLocked(h.writer, h.wseq, h.xi, h.v)
-		} else {
-			n.forwardLocked(h.writer, h.wseq, h.xi, h.v)
-		}
-		mcs.PutPayload(h.v)
-	}
+	n.releaseHeldReqsLocked()
 }
 
 var (

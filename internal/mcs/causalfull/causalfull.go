@@ -95,7 +95,7 @@ func New(cfg mcs.Config) ([]*Node, error) {
 				node.peers = append(node.peers, p)
 			}
 		}
-		node.rcv = mcs.NewRecovery(cfg, i, &node.mu)
+		node.rcv = mcs.NewRecovery(cfg, i, &node.mu, node)
 		node.rcv.OnDone = node.finishRejoinLocked
 		node.rcf = mcs.NewReconfig(cfg, i, &node.mu, node, ix)
 		cfg.ApplyFlushPolicy(&node.mu, node.out)
@@ -190,10 +190,8 @@ func (n *Node) handle(msg netsim.Message) {
 	switch msg.Kind {
 	case KindUpdate:
 		n.handleUpdate(msg)
-	case mcs.KindSnapReq:
-		n.handleSnapReq(msg)
-	case mcs.KindSnapResp:
-		n.handleSnapResp(msg)
+	case mcs.KindSnapReq, mcs.KindSnapResp:
+		n.rcv.Handle(msg)
 	default:
 		if mcs.IsEpochKind(msg.Kind) {
 			n.rcf.Handle(msg)
@@ -304,110 +302,6 @@ func (n *Node) drainLocked() {
 	}
 }
 
-// handleSnapReq answers a rejoining peer with the responder's vector
-// clock and its full tagged replica state: the protocol replicates
-// every variable everywhere, so any live peer can re-seed the whole
-// store.
-func (n *Node) handleSnapReq(msg netsim.Message) {
-	defer mcs.RecycleFrame(msg)
-	d := mcs.DecOf(msg.Payload)
-	epoch := d.U32()
-	if err := d.Err(); err != nil {
-		n.cfg.Faultf(n.id, "causalfull: node %d: malformed snapshot request from %d: %v", n.id, msg.From, err)
-		return
-	}
-	var enc mcs.Enc
-	enc.SetBuf(mcs.GetPayload())
-	enc.U32(epoch)
-	n.mu.Lock()
-	enc.U32Slice(n.vc)
-	countPos := enc.Len()
-	enc.U32(0)
-	var vars []string
-	count, data := 0, 0
-	for xi := range n.tags {
-		t := n.tags[xi]
-		if t.Writer < 0 {
-			continue
-		}
-		v := n.replicas.Get(xi)
-		enc.U32(uint32(t.Writer)).U32(uint32(t.WSeq)).VarVal(xi, v)
-		vars = append(vars, n.ix.Name(xi))
-		data += len(v)
-		count++
-	}
-	n.mu.Unlock()
-	enc.PatchU32(countPos, uint32(count))
-	payload := enc.Bytes()
-	n.cfg.Net.Send(netsim.Message{
-		From:      n.id,
-		To:        msg.From,
-		Kind:      mcs.KindSnapResp,
-		Payload:   payload,
-		CtrlBytes: len(payload) - data,
-		DataBytes: data,
-		Vars:      vars,
-	})
-}
-
-// handleSnapResp merges one peer snapshot: the vector clock merges
-// pointwise-max (the requester's view now causally covers everything
-// any answering peer had applied) and values adopt unless the local
-// tag already reflects a same-writer write at least as new.
-func (n *Node) handleSnapResp(msg netsim.Message) {
-	defer mcs.RecycleFrame(msg)
-	d := mcs.DecOf(msg.Payload)
-	epoch := d.U32()
-	n.mu.Lock()
-	n.tsTmp = d.U32SliceInto(n.tsTmp)
-	count := int(d.U32())
-	if err := d.Err(); err != nil {
-		n.mu.Unlock()
-		n.cfg.Faultf(n.id, "causalfull: node %d: malformed snapshot from %d: %v", n.id, msg.From, err)
-		return
-	}
-	if !n.rcv.Accept(msg.From, epoch) {
-		n.mu.Unlock()
-		return
-	}
-	if len(n.tsTmp) != len(n.vc) {
-		n.mu.Unlock()
-		n.cfg.Faultf(n.id, "causalfull: node %d: snapshot from %d has bad clock len %d", n.id, msg.From, len(n.tsTmp))
-		return
-	}
-	for k, t := range n.tsTmp {
-		if t > n.vc[k] {
-			n.vc[k] = t
-		}
-	}
-	for k := 0; k < count; k++ {
-		w := int(d.U32())
-		s := int(d.U32())
-		xi, v := d.VarVal()
-		if err := d.Err(); err != nil {
-			n.mu.Unlock()
-			n.cfg.Faultf(n.id, "causalfull: node %d: malformed snapshot entry from %d: %v", n.id, msg.From, err)
-			return
-		}
-		if xi < 0 || xi >= len(n.replicas) || w < 0 || w >= len(n.vc) {
-			n.mu.Unlock()
-			n.cfg.Faultf(n.id, "causalfull: node %d: snapshot entry from %d names unknown VarID %d / writer %d",
-				n.id, msg.From, xi, w)
-			return
-		}
-		if n.tags[xi].Stale(w, s) {
-			continue
-		}
-		n.replicas.Set(xi, v)
-		n.tags[xi] = mcs.WriteTag{Writer: w, WSeq: s}
-		if rec := n.cfg.Recorder; rec != nil {
-			rec.RecordRecover(n.id, w, s, n.ix.Name(xi), v)
-		}
-	}
-	n.rcv.FinishResponse()
-	n.mu.Unlock()
-}
-
 // finishRejoinLocked closes the rejoin window (Recovery.OnDone, node
 // lock held): pending updates the merged clock already covers —
 // pre-crash stragglers reflected in the adopted snapshots — are
@@ -492,16 +386,83 @@ func (n *Node) ReconfigFenceLocked(next *sharegraph.Index) {}
 // every node already holds every variable's state.
 func (n *Node) ReconfigTransferVarsLocked(next *sharegraph.Index) []int { return nil }
 
-// ReconfigEncodeLocked is never reached — no node requests transfers —
-// and encodes an empty body (mcs.ReconfigHooks).
-func (n *Node) ReconfigEncodeLocked(enc *mcs.Enc, requester int, varIDs []int, next *sharegraph.Index) (data int, vars []string) {
-	return 0, nil
+// RejoinVarsLocked lists every variable (mcs.StateCodec): the
+// protocol replicates every variable everywhere, so any live peer can
+// re-seed the whole store.
+func (n *Node) RejoinVarsLocked(peer int, ids []int) []int {
+	for xi := range n.tags {
+		ids = append(ids, xi)
+	}
+	return ids
 }
 
-// ReconfigMergeLocked is the empty-body counterpart of
-// ReconfigEncodeLocked (mcs.ReconfigHooks).
-func (n *Node) ReconfigMergeLocked(d *mcs.Dec, from int, next *sharegraph.Index) error {
-	return nil
+// EncodeStateLocked writes the tagged value of each written variable
+// of varIDs (mcs.StateCodec), behind the responder's vector clock on a
+// rejoin. No migration ever asks: every node already holds every
+// variable's state.
+func (n *Node) EncodeStateLocked(enc *mcs.Enc, peer int, varIDs []int, how mcs.Transfer) (data int, vars []string) {
+	if how == mcs.Rejoin {
+		enc.U32Slice(n.vc)
+	}
+	countPos := enc.Len()
+	enc.U32(0)
+	count := 0
+	for _, xi := range varIDs {
+		t := n.tags[xi]
+		if t.Writer < 0 {
+			continue
+		}
+		v := n.replicas.Get(xi)
+		enc.U32(uint32(t.Writer)).U32(uint32(t.WSeq)).VarVal(xi, v)
+		vars = append(vars, n.ix.Name(xi))
+		data += len(v)
+		count++
+	}
+	enc.PatchU32(countPos, uint32(count))
+	return data, vars
+}
+
+// MergeStateLocked merges a peer's body (mcs.StateCodec): a rejoin's
+// vector clock merges pointwise-max (the requester's view now causally
+// covers everything any answering peer had applied), and values adopt
+// unless the local tag already reflects a same-writer write at least
+// as new.
+func (n *Node) MergeStateLocked(d *mcs.Dec, from int, how mcs.Transfer) error {
+	if how == mcs.Rejoin {
+		n.tsTmp = d.U32SliceInto(n.tsTmp)
+		if err := d.Err(); err != nil {
+			return err
+		}
+		if len(n.tsTmp) != len(n.vc) {
+			return fmt.Errorf("causalfull: clock has %d entries, want %d", len(n.tsTmp), len(n.vc))
+		}
+		for k, t := range n.tsTmp {
+			if t > n.vc[k] {
+				n.vc[k] = t
+			}
+		}
+	}
+	count := int(d.U32())
+	for k := 0; k < count; k++ {
+		w := int(d.U32())
+		s := int(d.U32())
+		xi, v := d.VarVal()
+		if err := d.Err(); err != nil {
+			return err
+		}
+		if xi < 0 || xi >= len(n.replicas) || w < 0 || w >= len(n.vc) {
+			return fmt.Errorf("causalfull: entry names unknown VarID %d / writer %d", xi, w)
+		}
+		if n.tags[xi].Stale(w, s) {
+			continue
+		}
+		n.replicas.Set(xi, v)
+		n.tags[xi] = mcs.WriteTag{Writer: w, WSeq: s}
+		if rec := n.cfg.Recorder; rec != nil {
+			rec.RecordTransfer(how, n.id, w, s, n.ix.Name(xi), v, 0)
+		}
+	}
+	return d.Err()
 }
 
 // ReconfigFlipLocked swaps the access-scoping index and restamps the

@@ -205,7 +205,7 @@ func New(cfg mcs.Config, mode Mode) ([]*Node, error) {
 			node.cnt[j] = make([]uint32, numVars)
 		}
 		node.interest, node.notifies = nodeTables(relOf, i)
-		node.rcv = mcs.NewRecovery(cfg, i, &node.mu)
+		node.rcv = mcs.NewRecovery(cfg, i, &node.mu, node)
 		node.rcv.OnDone = node.finishRejoinLocked
 		node.rcf = mcs.NewReconfig(cfg, i, &node.mu, node, ix)
 		cfg.ApplyFlushPolicy(&node.mu, node.outUpd, node.outNtf)
@@ -357,10 +357,8 @@ func (n *Node) handle(msg netsim.Message) {
 	switch msg.Kind {
 	case KindUpdate, KindNotify:
 		n.handleFrame(msg)
-	case mcs.KindSnapReq:
-		n.handleSnapReq(msg)
-	case mcs.KindSnapResp:
-		n.handleSnapResp(msg)
+	case mcs.KindSnapReq, mcs.KindSnapResp:
+		n.rcv.Handle(msg)
 	default:
 		if mcs.IsEpochKind(msg.Kind) {
 			n.rcf.Handle(msg)
@@ -507,160 +505,6 @@ func (n *Node) drainLocked() {
 	}
 }
 
-// handleSnapReq answers a rejoining peer with the counter columns of
-// every variable both nodes are notified about, plus tagged values for
-// the variables both replicate. Entries stay within the requester's
-// notification interest, so hoop-aware recovery traffic respects the
-// same relevance bound (Theorem 1) as steady-state notifications.
-func (n *Node) handleSnapReq(msg netsim.Message) {
-	defer mcs.RecycleFrame(msg)
-	d := mcs.DecOf(msg.Payload)
-	epoch := d.U32()
-	if err := d.Err(); err != nil {
-		n.cfg.Faultf(n.id, "causalpart: node %d: malformed snapshot request from %d: %v", n.id, msg.From, err)
-		return
-	}
-	if msg.From < 0 || msg.From >= len(n.cnt) {
-		n.cfg.Faultf(n.id, "causalpart: node %d: snapshot request from unknown node %d", n.id, msg.From)
-		return
-	}
-	var enc mcs.Enc
-	enc.SetBuf(mcs.GetPayload())
-	enc.U32(epoch)
-	var vars []string
-	seen := make(map[int]bool)
-	n.mu.Lock()
-	cntPos := enc.Len()
-	enc.U32(0)
-	nCnt := 0
-	for j := range n.cnt {
-		for yi, c := range n.cnt[j] {
-			if c == 0 || !n.interest[yi] || !n.relOf[yi][msg.From] {
-				continue
-			}
-			enc.U32(uint32(j)).U32(uint32(yi)).U32(c)
-			nCnt++
-			if !seen[yi] {
-				seen[yi] = true
-				vars = append(vars, n.ix.Name(yi))
-			}
-		}
-	}
-	enc.PatchU32(cntPos, uint32(nCnt))
-	valPos := enc.Len()
-	enc.U32(0)
-	nVals, data := 0, 0
-	for _, xi := range n.ix.VarIDs(n.id) {
-		t := n.tags[xi]
-		if t.Writer < 0 || !n.ix.Holds(msg.From, xi) {
-			continue
-		}
-		v := n.replicas.Get(xi)
-		enc.U32(uint32(t.Writer)).U32(uint32(t.WSeq)).VarVal(xi, v)
-		if !seen[xi] {
-			seen[xi] = true
-			vars = append(vars, n.ix.Name(xi))
-		}
-		data += len(v)
-		nVals++
-	}
-	n.mu.Unlock()
-	enc.PatchU32(valPos, uint32(nVals))
-	payload := enc.Bytes()
-	n.cfg.Net.Send(netsim.Message{
-		From:      n.id,
-		To:        msg.From,
-		Kind:      mcs.KindSnapResp,
-		Payload:   payload,
-		CtrlBytes: len(payload) - data,
-		DataBytes: data,
-		Vars:      vars,
-	})
-}
-
-// handleSnapResp merges one peer snapshot: counter columns max-merge
-// (the requester's causal view now covers everything any answering
-// peer had delivered) and values adopt unless the local tag already
-// reflects a same-writer write at least as new.
-//
-// Counters for a variable this node replicates only merge from peers
-// that also replicate it. A notify-interest peer counts writer streams
-// it holds no value for, so its snapshot can be "newer" than the
-// newest value any co-holder offered — adopting that counter would
-// make the co-holder's in-flight update for the same stream position
-// drain as a stale duplicate and pin the replica at the old value
-// forever (the retransmit layer never redelivers an acked frame). A
-// co-holder's counter cannot tear this way: it advances atomically
-// with the value application it describes, and the same snapshot frame
-// carries that value.
-func (n *Node) handleSnapResp(msg netsim.Message) {
-	defer mcs.RecycleFrame(msg)
-	d := mcs.DecOf(msg.Payload)
-	epoch := d.U32()
-	nCnt := int(d.U32())
-	if err := d.Err(); err != nil {
-		n.cfg.Faultf(n.id, "causalpart: node %d: malformed snapshot from %d: %v", n.id, msg.From, err)
-		return
-	}
-	n.mu.Lock()
-	if !n.rcv.Accept(msg.From, epoch) {
-		n.mu.Unlock()
-		return
-	}
-	for k := 0; k < nCnt; k++ {
-		j := int(d.U32())
-		yi := int(d.U32())
-		c := d.U32()
-		if err := d.Err(); err != nil {
-			n.mu.Unlock()
-			n.cfg.Faultf(n.id, "causalpart: node %d: malformed snapshot counter from %d: %v", n.id, msg.From, err)
-			return
-		}
-		if j < 0 || j >= len(n.cnt) || yi < 0 || yi >= n.ix.NumVars() {
-			n.mu.Unlock()
-			n.cfg.Faultf(n.id, "causalpart: node %d: snapshot counter from %d out of range (%d, %d)",
-				n.id, msg.From, j, yi)
-			return
-		}
-		if j != n.id && c > n.cnt[j][yi] &&
-			(!n.ix.Holds(n.id, yi) || n.ix.Holds(msg.From, yi)) {
-			n.cnt[j][yi] = c
-		}
-	}
-	nVals := int(d.U32())
-	if err := d.Err(); err != nil {
-		n.mu.Unlock()
-		n.cfg.Faultf(n.id, "causalpart: node %d: malformed snapshot from %d: %v", n.id, msg.From, err)
-		return
-	}
-	for k := 0; k < nVals; k++ {
-		w := int(d.U32())
-		s := int(d.U32())
-		xi, v := d.VarVal()
-		if err := d.Err(); err != nil {
-			n.mu.Unlock()
-			n.cfg.Faultf(n.id, "causalpart: node %d: malformed snapshot entry from %d: %v", n.id, msg.From, err)
-			return
-		}
-		if xi < 0 || xi >= n.ix.NumVars() || w < 0 || w >= len(n.cnt) {
-			n.mu.Unlock()
-			n.cfg.Faultf(n.id, "causalpart: node %d: snapshot entry from %d names unknown VarID %d / writer %d",
-				n.id, msg.From, xi, w)
-			return
-		}
-		if n.tags[xi].Stale(w, s) {
-			continue
-		}
-		n.replicas.Set(xi, v)
-		n.tags[xi] = mcs.WriteTag{Writer: w, WSeq: s}
-		if rec := n.cfg.Recorder; rec != nil {
-			rec.RecordRecover(n.id, w, s, n.ix.Name(xi), v)
-		}
-	}
-	n.rcv.FinishResponse()
-	n.mu.Unlock()
-}
-
 // finishRejoinLocked closes the rejoin window (Recovery.OnDone, node
 // lock held): pending records re-evaluate against the merged counters
 // — snapshot-covered stragglers drop as stale, deliverable ones apply
@@ -784,28 +628,42 @@ func (n *Node) ReconfigTransferVarsLocked(next *sharegraph.Index) []int {
 	return need
 }
 
-// ReconfigEncodeLocked answers a gaining node with, per requested
-// variable, the fence-settled counter column — at the barrier these are
-// the senders' total write counts, identical on every live old-epoch
-// holder — plus the tagged value when the requester replicates the
-// variable in the next epoch (mcs.ReconfigHooks).
-func (n *Node) ReconfigEncodeLocked(enc *mcs.Enc, requester int, varIDs []int, next *sharegraph.Index) (data int, vars []string) {
+// RejoinVarsLocked lists every variable both nodes are notified about
+// (mcs.StateCodec): recovery traffic stays within the requester's
+// notification interest, so hoop-aware recovery respects the same
+// relevance bound (Theorem 1) as steady-state notifications.
+func (n *Node) RejoinVarsLocked(peer int, ids []int) []int {
+	for yi, in := range n.interest {
+		if in && n.relOf[yi][peer] {
+			ids = append(ids, yi)
+		}
+	}
+	return ids
+}
+
+// EncodeStateLocked writes the counter columns of varIDs — every
+// nonzero (writer, VarID, count), writer-major — then the tagged value
+// of each of them both nodes replicate: under the current epoch for a
+// rejoin, the peer under the pending one for a migration
+// (mcs.StateCodec). At a migration's fence barrier the counters are the
+// senders' total write counts, identical on every live old-epoch
+// holder.
+func (n *Node) EncodeStateLocked(enc *mcs.Enc, peer int, varIDs []int, how mcs.Transfer) (data int, vars []string) {
+	peerIx := n.ix
+	if how == mcs.Migration {
+		peerIx = n.rcf.PendingIndexLocked()
+	}
+	hasValue := func(yi int) bool {
+		return n.tags[yi].Writer >= 0 && n.ix.Holds(n.id, yi) && peerIx.Holds(peer, yi)
+	}
 	cntPos := enc.Len()
 	enc.U32(0)
 	nCnt := 0
-	seen := make(map[int]bool)
-	for _, yi := range varIDs {
-		if yi < 0 || yi >= n.ix.NumVars() {
-			continue
-		}
-		for j := range n.cnt {
+	for j := range n.cnt {
+		for _, yi := range varIDs {
 			if c := n.cnt[j][yi]; c > 0 {
 				enc.U32(uint32(j)).U32(uint32(yi)).U32(c)
 				nCnt++
-				if !seen[yi] {
-					seen[yi] = true
-					vars = append(vars, n.ix.Name(yi))
-				}
 			}
 		}
 	}
@@ -814,34 +672,47 @@ func (n *Node) ReconfigEncodeLocked(enc *mcs.Enc, requester int, varIDs []int, n
 	enc.U32(0)
 	nVals := 0
 	for _, yi := range varIDs {
-		if yi < 0 || yi >= n.ix.NumVars() || !next.Holds(requester, yi) {
+		if !hasValue(yi) {
 			continue
 		}
 		t := n.tags[yi]
-		if t.Writer < 0 || !n.ix.Holds(n.id, yi) {
-			continue
-		}
 		v := n.replicas.Get(yi)
 		enc.U32(uint32(t.Writer)).U32(uint32(t.WSeq)).VarVal(yi, v)
-		if !seen[yi] {
-			seen[yi] = true
-			vars = append(vars, n.ix.Name(yi))
-		}
 		data += len(v)
 		nVals++
 	}
 	enc.PatchU32(valPos, uint32(nVals))
+	for _, yi := range varIDs {
+		mentioned := hasValue(yi)
+		for j := 0; j < len(n.cnt) && !mentioned; j++ {
+			mentioned = n.cnt[j][yi] > 0
+		}
+		if mentioned {
+			vars = append(vars, n.ix.Name(yi))
+		}
+	}
 	return data, vars
 }
 
-// ReconfigMergeLocked merges one donor's transfer body: counter columns
-// max-merge (the donor's fence-settled totals subsume any partial view,
-// and make in-flight old-epoch stragglers drop as stale), values pass
-// the usual staleness rule and are recorded as migration events. The
-// snapshot tear guard is unnecessary here: a barrier-complete donor's
-// counter advances atomically with the value the same body carries
-// (mcs.ReconfigHooks).
-func (n *Node) ReconfigMergeLocked(d *mcs.Dec, from int, next *sharegraph.Index) error {
+// MergeStateLocked merges a peer's body (mcs.StateCodec): counter
+// columns max-merge (the receiver's causal view now covers everything
+// the peer had delivered, and in-flight old-epoch stragglers drop as
+// stale), values adopt unless the local tag already reflects a
+// same-writer write at least as new.
+//
+// On a rejoin, counters for a variable this node replicates only merge
+// from peers that also replicate it. A notify-interest peer counts
+// writer streams it holds no value for, so its snapshot can be "newer"
+// than the newest value any co-holder offered — adopting that counter
+// would make the co-holder's in-flight update for the same stream
+// position drain as a stale duplicate and pin the replica at the old
+// value forever (the retransmit layer never redelivers an acked frame).
+// A co-holder's counter cannot tear this way: it advances atomically
+// with the value application it describes, and the same snapshot frame
+// carries that value. A migration donor is barrier-complete, so its
+// counters cannot tear either; seeded counters may make buffered
+// records deliverable.
+func (n *Node) MergeStateLocked(d *mcs.Dec, from int, how mcs.Transfer) error {
 	nCnt := int(d.U32())
 	for k := 0; k < nCnt; k++ {
 		j := int(d.U32())
@@ -851,9 +722,10 @@ func (n *Node) ReconfigMergeLocked(d *mcs.Dec, from int, next *sharegraph.Index)
 			return err
 		}
 		if j < 0 || j >= len(n.cnt) || yi < 0 || yi >= n.ix.NumVars() {
-			return fmt.Errorf("causalpart: transfer counter names unknown writer %d / VarID %d", j, yi)
+			return fmt.Errorf("causalpart: counter names unknown writer %d / VarID %d", j, yi)
 		}
-		if j != n.id && c > n.cnt[j][yi] {
+		torn := how == mcs.Rejoin && n.ix.Holds(n.id, yi) && !n.ix.Holds(from, yi)
+		if j != n.id && c > n.cnt[j][yi] && !torn {
 			n.cnt[j][yi] = c
 		}
 	}
@@ -866,7 +738,7 @@ func (n *Node) ReconfigMergeLocked(d *mcs.Dec, from int, next *sharegraph.Index)
 			return err
 		}
 		if xi < 0 || xi >= n.ix.NumVars() || w < 0 || w >= len(n.cnt) {
-			return fmt.Errorf("causalpart: transfer entry names unknown VarID %d / writer %d", xi, w)
+			return fmt.Errorf("causalpart: entry names unknown VarID %d / writer %d", xi, w)
 		}
 		if n.tags[xi].Stale(w, s) {
 			continue
@@ -874,14 +746,15 @@ func (n *Node) ReconfigMergeLocked(d *mcs.Dec, from int, next *sharegraph.Index)
 		n.replicas.Set(xi, v)
 		n.tags[xi] = mcs.WriteTag{Writer: w, WSeq: s}
 		if rec := n.cfg.Recorder; rec != nil {
-			rec.RecordMigrate(n.id, w, s, n.ix.Name(xi), v)
+			rec.RecordTransfer(how, n.id, w, s, n.ix.Name(xi), v, 0)
 		}
 	}
 	if err := d.Err(); err != nil {
 		return err
 	}
-	// Seeded counters may make buffered records deliverable.
-	n.drainLocked()
+	if how == mcs.Migration {
+		n.drainLocked()
+	}
 	return nil
 }
 

@@ -9,20 +9,25 @@
 // variable updates to the replicas.
 //
 // Beyond the fault-free protocol core, the package carries the shared
-// crash-recovery machinery: CrashRestarter is the crash/restart/
-// recover cycle every protocol implements, Recovery drives the
-// snapshot handshake (KindSnapReq/KindSnapResp, virtual-clock retries
-// bounded by RecoveryMaxRetries), WriteTag is the per-variable
-// duplicate-suppression tag snapshots and live updates share, and
-// deadline.go holds the fail-fast timer (ErrOpDeadline) the blocking
-// protocols arm on every request.
+// state-transfer machinery. Every protocol has one StateCodec that
+// encodes and merges its per-variable state for a peer; crash recovery
+// and epoch migration both move state through it, the Transfer
+// argument (Rejoin or Migration) adding or leaving out the
+// recovery-only metadata. CrashRestarter is the crash/restart/recover
+// cycle every protocol implements; Recovery drives the rejoin
+// handshake and owns its wire framing (KindSnapReq/KindSnapResp,
+// virtual-clock retries bounded by RecoveryMaxRetries, malformed-frame
+// faults); WriteTag is the per-variable duplicate-suppression tag
+// snapshots and live updates share; and deadline.go holds the
+// fail-fast timer (ErrOpDeadline) the blocking protocols arm on every
+// request.
 //
 // reconfig.go adds the control plane for epoch-based runtime
 // reconfiguration: Reconfig drives the propose → fence → transfer →
 // flip handshake that migrates replicas to a new placement while the
 // cluster serves traffic, against the per-protocol ReconfigHooks
-// (fence writes to the variables whose clique changes, encode/
-// merge transfer state, flip to the rebound sharegraph.Index). The
+// (fence writes to the variables whose clique changes, transfer state
+// through the StateCodec, flip to the rebound sharegraph.Index). The
 // same handshake migrates per-variable ownership: a protocol whose
 // variables have an authoritative owner — the atomic-register primary,
 // the cache sequencer — hands the owner's state to its successor in
@@ -124,10 +129,13 @@ type CrashRestarter interface {
 	// (KindSnapReq) go to the node's state-sharing peers, and each
 	// snapshot response re-seeds per-variable values and protocol
 	// metadata (sequence counters, vector clocks, delivery cursors).
-	// Recover returns without waiting — responses are absorbed by the
-	// normal message handler; unresponsive peers are retried on the
-	// virtual clock and reported through Config.OnFault once the retry
-	// budget is exhausted.
+	// A rejoin is a state transfer: peers write the responses, and the
+	// node merges them, with the protocol's StateCodec in its Rejoin
+	// form — the codec epoch migration uses. Recover returns without
+	// waiting — the message handler routes responses to
+	// Recovery.Handle; unresponsive peers are retried on the virtual
+	// clock and reported through Config.OnFault once the retry budget
+	// is exhausted.
 	Recover()
 	// RecoveryStats reports the completed recovery handshakes and the
 	// summed virtual ticks each took from Recover to the last peer

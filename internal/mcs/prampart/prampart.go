@@ -96,7 +96,7 @@ func New(cfg mcs.Config) ([]*Node, error) {
 			tags:     mcs.NewWriteTags(ix.NumVars()),
 			out:      mcs.NewOutbox(cfg.Net, i, KindUpdate, cfg.CoalesceBatch),
 		}
-		node.rcv = mcs.NewRecovery(cfg, i, &node.mu)
+		node.rcv = mcs.NewRecovery(cfg, i, &node.mu, node)
 		node.rcv.OnDone = node.finishRejoinLocked
 		node.rcf = mcs.NewReconfig(cfg, i, &node.mu, node, ix)
 		cfg.ApplyFlushPolicy(&node.mu, node.out)
@@ -198,10 +198,8 @@ func (n *Node) handle(msg netsim.Message) {
 	switch msg.Kind {
 	case KindUpdate:
 		n.handleUpdate(msg)
-	case mcs.KindSnapReq:
-		n.handleSnapReq(msg)
-	case mcs.KindSnapResp:
-		n.handleSnapResp(msg)
+	case mcs.KindSnapReq, mcs.KindSnapResp:
+		n.rcv.Handle(msg)
 	default:
 		if mcs.IsEpochKind(msg.Kind) {
 			n.rcf.Handle(msg)
@@ -266,97 +264,6 @@ func (n *Node) applyLocked(from, wseq, xi int, v []byte) {
 	if rec := n.cfg.Recorder; rec != nil {
 		rec.RecordApply(n.id, from, wseq, n.ix.Name(xi), v)
 	}
-}
-
-// handleSnapReq answers a rejoining peer with a snapshot of every
-// written variable both nodes replicate: (writer, wseq, varID, value)
-// per entry — Theorem 2 honesty carries over to recovery, the response
-// mentions no variable outside the requester's replica set.
-func (n *Node) handleSnapReq(msg netsim.Message) {
-	defer mcs.RecycleFrame(msg)
-	d := mcs.DecOf(msg.Payload)
-	epoch := d.U32()
-	if err := d.Err(); err != nil {
-		n.cfg.Faultf(n.id, "prampart: node %d: malformed snapshot request from %d: %v", n.id, msg.From, err)
-		return
-	}
-	var enc mcs.Enc
-	enc.SetBuf(mcs.GetPayload())
-	enc.U32(epoch)
-	countPos := enc.Len()
-	enc.U32(0)
-	var vars []string
-	count, data := 0, 0
-	n.mu.Lock()
-	for _, xi := range n.ix.VarIDs(n.id) {
-		t := n.tags[xi]
-		if t.Writer < 0 || !n.ix.Holds(msg.From, xi) {
-			continue
-		}
-		v := n.replicas.Get(xi)
-		enc.U32(uint32(t.Writer)).U32(uint32(t.WSeq)).VarVal(xi, v)
-		vars = append(vars, n.ix.Name(xi))
-		data += len(v)
-		count++
-	}
-	n.mu.Unlock()
-	enc.PatchU32(countPos, uint32(count))
-	payload := enc.Bytes()
-	n.cfg.Net.Send(netsim.Message{
-		From:      n.id,
-		To:        msg.From,
-		Kind:      mcs.KindSnapResp,
-		Payload:   payload,
-		CtrlBytes: len(payload) - data,
-		DataBytes: data,
-		Vars:      vars,
-	})
-}
-
-// handleSnapResp merges one peer snapshot into the rejoining replica
-// store. Entries the local state already reflects (from an
-// earlier-merged peer with a newer view) are skipped by the same
-// staleness rule as live updates.
-func (n *Node) handleSnapResp(msg netsim.Message) {
-	defer mcs.RecycleFrame(msg)
-	d := mcs.DecOf(msg.Payload)
-	epoch := d.U32()
-	count := int(d.U32())
-	if err := d.Err(); err != nil {
-		n.cfg.Faultf(n.id, "prampart: node %d: malformed snapshot from %d: %v", n.id, msg.From, err)
-		return
-	}
-	n.mu.Lock()
-	if !n.rcv.Accept(msg.From, epoch) {
-		n.mu.Unlock()
-		return
-	}
-	for k := 0; k < count; k++ {
-		w := int(d.U32())
-		s := int(d.U32())
-		xi, v := d.VarVal()
-		if err := d.Err(); err != nil {
-			n.mu.Unlock()
-			n.cfg.Faultf(n.id, "prampart: node %d: malformed snapshot entry from %d: %v", n.id, msg.From, err)
-			return
-		}
-		if xi < 0 || xi >= len(n.replicas) || w < 0 || w >= n.cfg.Net.NumNodes() {
-			n.mu.Unlock()
-			n.cfg.Faultf(n.id, "prampart: node %d: snapshot entry from %d names unknown VarID %d / writer %d",
-				n.id, msg.From, xi, w)
-			return
-		}
-		if n.tags[xi].Stale(w, s) {
-			continue
-		}
-		n.replicas.Set(xi, v)
-		n.tags[xi] = mcs.WriteTag{Writer: w, WSeq: s}
-		if rec := n.cfg.Recorder; rec != nil {
-			rec.RecordRecover(n.id, w, s, n.ix.Name(xi), v)
-		}
-	}
-	n.rcv.FinishResponse()
-	n.mu.Unlock()
 }
 
 // finishRejoinLocked closes the rejoin window (Recovery.OnDone, node
@@ -438,27 +345,29 @@ func (n *Node) ReconfigFenceLocked(next *sharegraph.Index) {
 // ReconfigTransferVarsLocked lists the variables this node gains in the
 // next epoch (mcs.ReconfigHooks).
 func (n *Node) ReconfigTransferVarsLocked(next *sharegraph.Index) []int {
-	var gained []int
-	for _, xi := range next.VarIDs(n.id) {
-		if !n.ix.Holds(n.id, xi) {
-			gained = append(gained, xi)
-		}
-	}
-	return gained
+	return n.ix.Gained(next, n.id)
 }
 
-// ReconfigEncodeLocked answers a gaining node with the fence-settled
-// tagged value of each requested variable, the same entry format as a
-// recovery snapshot (mcs.ReconfigHooks).
-func (n *Node) ReconfigEncodeLocked(enc *mcs.Enc, requester int, varIDs []int, next *sharegraph.Index) (data int, vars []string) {
+// RejoinVarsLocked lists the variables a rejoining peer shares with
+// this node (mcs.StateCodec): Theorem 2 honesty carries over to
+// recovery, the snapshot mentions no variable outside the requester's
+// replica set.
+func (n *Node) RejoinVarsLocked(peer int, ids []int) []int {
+	return n.ix.AppendShared(ids, n.id, peer)
+}
+
+// EncodeStateLocked writes (writer, wseq, varID, value) per written
+// variable of varIDs (mcs.StateCodec). PRAM has no recovery-only
+// metadata: a rejoin and a migration carry the same body.
+func (n *Node) EncodeStateLocked(enc *mcs.Enc, peer int, varIDs []int, how mcs.Transfer) (data int, vars []string) {
 	countPos := enc.Len()
 	enc.U32(0)
 	count := 0
 	for _, xi := range varIDs {
-		if xi < 0 || xi >= len(n.tags) || n.tags[xi].Writer < 0 {
+		t := n.tags[xi]
+		if t.Writer < 0 {
 			continue
 		}
-		t := n.tags[xi]
 		v := n.replicas.Get(xi)
 		enc.U32(uint32(t.Writer)).U32(uint32(t.WSeq)).VarVal(xi, v)
 		vars = append(vars, n.ix.Name(xi))
@@ -469,11 +378,12 @@ func (n *Node) ReconfigEncodeLocked(enc *mcs.Enc, requester int, varIDs []int, n
 	return data, vars
 }
 
-// ReconfigMergeLocked adopts one donor's transfer entries through the
-// usual staleness rule, recorded as migration events — the PRAM witness
-// seeds the replica view from them without raising any per-sender
-// frontier (mcs.ReconfigHooks).
-func (n *Node) ReconfigMergeLocked(d *mcs.Dec, from int, next *sharegraph.Index) error {
+// MergeStateLocked adopts a peer's entries through the staleness rule
+// of live updates, so entries the local state already reflects (from
+// an earlier-merged peer with a newer view) are skipped
+// (mcs.StateCodec). A migration entry seeds the PRAM witness's replica
+// view without raising any per-sender frontier.
+func (n *Node) MergeStateLocked(d *mcs.Dec, from int, how mcs.Transfer) error {
 	count := int(d.U32())
 	for k := 0; k < count; k++ {
 		w := int(d.U32())
@@ -483,7 +393,7 @@ func (n *Node) ReconfigMergeLocked(d *mcs.Dec, from int, next *sharegraph.Index)
 			return err
 		}
 		if xi < 0 || xi >= len(n.replicas) || w < 0 || w >= n.cfg.Net.NumNodes() {
-			return fmt.Errorf("prampart: transfer entry names unknown VarID %d / writer %d", xi, w)
+			return fmt.Errorf("prampart: entry names unknown VarID %d / writer %d", xi, w)
 		}
 		if n.tags[xi].Stale(w, s) {
 			continue
@@ -491,7 +401,7 @@ func (n *Node) ReconfigMergeLocked(d *mcs.Dec, from int, next *sharegraph.Index)
 		n.replicas.Set(xi, v)
 		n.tags[xi] = mcs.WriteTag{Writer: w, WSeq: s}
 		if rec := n.cfg.Recorder; rec != nil {
-			rec.RecordMigrate(n.id, w, s, n.ix.Name(xi), v)
+			rec.RecordTransfer(how, n.id, w, s, n.ix.Name(xi), v, 0)
 		}
 	}
 	return d.Err()

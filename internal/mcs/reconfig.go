@@ -66,11 +66,14 @@ const (
 
 // ReconfigHooks is the protocol half of the reconfiguration engine:
 // everything that depends on what "state of a variable" means for a
-// given consistency criterion. Every hook is called with the owning
+// given consistency criterion. The transfer bodies are written and
+// merged by the protocol's StateCodec — the same codec crash recovery
+// uses, in its Migration flavour. Every hook is called with the owning
 // node's mutex held. Protocols whose replica state is global
-// (full-replication causal memory, the sequencer protocol) implement
-// the transfer hooks as no-ops and flip by swapping the index.
+// (full-replication causal memory, the sequencer protocol) request no
+// transfers and flip by swapping the index.
 type ReconfigHooks interface {
+	StateCodec
 	// ReconfigFlushLocked flushes the node's outboxes so the fence that
 	// follows travels behind every staged pre-fence record.
 	ReconfigFlushLocked()
@@ -83,12 +86,6 @@ type ReconfigHooks interface {
 	// node must fetch from old-epoch holders before it can serve the
 	// next epoch (nil when the protocol's state is global).
 	ReconfigTransferVarsLocked(next *sharegraph.Index) []int
-	// ReconfigEncodeLocked appends the transfer body for the requester's
-	// variables to enc, reporting the payload's data (value) bytes —
-	// everything else is control — and the variables the body mentions.
-	ReconfigEncodeLocked(enc *Enc, requester int, varIDs []int, next *sharegraph.Index) (data int, vars []string)
-	// ReconfigMergeLocked merges one donor's transfer body.
-	ReconfigMergeLocked(d *Dec, from int, next *sharegraph.Index) error
 	// ReconfigFlipLocked installs the next index: swap the node's index,
 	// wipe replicas of lost variables, record ⊥ migration resets for
 	// gained variables no donor had a value for, restamp the outboxes
@@ -485,6 +482,10 @@ func (r *Reconfig) Handle(msg netsim.Message) {
 		}
 		varIDs := make([]int, len(ids))
 		for k, u := range ids {
+			if int(u) >= r.cur.NumVars() {
+				r.cfg.Faultf(r.node, "mcs: node %d: migreq from %d names unknown VarID %d", r.node, msg.From, u)
+				return
+			}
 			varIDs[k] = int(u)
 		}
 		if active {
@@ -498,7 +499,7 @@ func (r *Reconfig) Handle(msg netsim.Message) {
 		}
 		r.expect[msg.From] = false
 		r.donorsLeft--
-		if err := r.hooks.ReconfigMergeLocked(&d, msg.From, r.next); err != nil {
+		if err := r.hooks.MergeStateLocked(&d, msg.From, Migration); err != nil {
 			r.cfg.Faultf(r.node, "mcs: node %d: transfer merge from %d: %v", r.node, msg.From, err)
 		}
 		r.maybeReadyLocked()
@@ -634,7 +635,7 @@ func (r *Reconfig) respondLocked(to int, varIDs []int) {
 	var enc Enc
 	enc.SetBuf(GetPayload())
 	enc.U32(r.attempt)
-	data, vars := r.hooks.ReconfigEncodeLocked(&enc, to, varIDs, r.next)
+	data, vars := r.hooks.EncodeStateLocked(&enc, to, varIDs, Migration)
 	payload := enc.Bytes()
 	r.cfg.Net.Send(netsim.Message{
 		From:      r.node,

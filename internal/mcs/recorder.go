@@ -150,6 +150,16 @@ func (r *Recorder) RecordMigrateAt(node, writer, wseq int, x string, v []byte, e
 	}
 }
 
+// RecordTransfer records a value adopted through a StateCodec merge:
+// a recovery event for a Rejoin, a migration event for a Migration.
+func (r *Recorder) RecordTransfer(how Transfer, node, writer, wseq int, x string, v []byte, epoch uint64) {
+	if how == Rejoin {
+		r.RecordRecoverAt(node, writer, wseq, x, v, epoch)
+	} else {
+		r.RecordMigrateAt(node, writer, wseq, x, v, epoch)
+	}
+}
+
 // History materializes the recorded global history.
 func (r *Recorder) History() (*model.History, error) {
 	r.mu.Lock()

@@ -1,7 +1,6 @@
 package mcs
 
 import (
-	"fmt"
 	"sync"
 
 	"partialdsm/internal/netsim"
@@ -13,9 +12,11 @@ import (
 // kinds let Stats account it separately from steady-state updates.
 //
 // A snapshot request is (U32 epoch); the responder answers with
-// (U32 epoch, protocol-specific body) carrying the per-variable values
-// and protocol metadata (sequence counters, vector clocks, delivery
-// cursors) the requester needs to resume. The epoch is the requester's
+// (U32 epoch, state body), the body written by the protocol's
+// StateCodec for the variables the requester is owed — the same codec
+// that writes epoch migration bodies, in its Rejoin flavour (values
+// plus the recovery-only metadata: delivery cursors, vector clocks,
+// duplicate-suppression counts). The epoch is the requester's
 // recovery-attempt counter: responses from an earlier attempt — or
 // duplicates injected by the fault layer — are recognized and dropped.
 const (
@@ -42,42 +43,85 @@ const (
 	RecoveryMaxRetries = 32
 )
 
-// Recovery is the requester half of the rejoin handshake, shared by
-// all eight protocols and guarded by the owning node's mutex. The
-// protocol's Recover calls Begin with its state-sharing peers; its
-// message handler calls Accept on each KindSnapResp before merging the
-// body. Lost requests are retried on the virtual clock; exhausted
-// retries surface the unresponsive peers as a per-node fault.
+// Transfer says why a StateCodec moves state between two peers.
+type Transfer int
+
+const (
+	// Rejoin re-seeds a crashed peer: the body carries, besides the
+	// values, the recovery-only metadata the crash wiped (delivery and
+	// apply cursors, vector clocks, duplicate-suppression counts), and
+	// adopted values are recorded as recovery events.
+	Rejoin Transfer = iota
+	// Migration seeds a node gaining variables at an epoch flip: stream
+	// numbering restarts at the flip, so cursors stay behind (merged
+	// before the flip, they would make the admitted post-flip frames
+	// drain as stale), and adopted values are recorded as migration
+	// events.
+	Migration
+)
+
+// StateCodec is a protocol's one state-transfer format, shared by
+// crash recovery (Recovery) and epoch migration (Reconfig): both move
+// the same per-variable records between peers, filtered to the
+// variables the receiver replicates or is notified about, so the
+// efficiency property (Theorem 2) holds while a node rejoins and while
+// replicas migrate. Every method is called with the node's mutex held.
+type StateCodec interface {
+	// RejoinVarsLocked appends to ids the VarIDs whose state a
+	// rejoining peer is owed by this node, ascending.
+	RejoinVarsLocked(peer int, ids []int) []int
+	// EncodeStateLocked appends the state of varIDs for peer to enc,
+	// reporting the payload's data (value) bytes — everything else is
+	// control — and the variables the body mentions.
+	EncodeStateLocked(enc *Enc, peer int, varIDs []int, how Transfer) (data int, vars []string)
+	// MergeStateLocked merges one peer's body. A malformed body returns
+	// an error; entries merged before the fault stay merged.
+	MergeStateLocked(d *Dec, from int, how Transfer) error
+}
+
+// Recovery is the rejoin handshake, shared by all eight protocols and
+// guarded by the owning node's mutex. The protocol's Recover calls
+// Begin with its state-sharing peers; its message handler routes both
+// recovery kinds to Handle, which answers requests and merges
+// responses through the protocol's StateCodec. Lost requests are
+// retried on the virtual clock; exhausted retries surface the
+// unresponsive peers as a per-node fault.
 type Recovery struct {
-	cfg  Config
-	node int
-	mu   *sync.Mutex // the owning node's mutex
+	cfg   Config
+	node  int
+	mu    *sync.Mutex // the owning node's mutex
+	codec StateCodec
 
 	// OnDone, when set, runs once per attempt — after the last peer's
-	// snapshot has been merged (the protocol calls FinishResponse), or
-	// at retry exhaustion — with the node mutex held. Protocols use it
-	// to drain updates held back during the rejoin window and to mark
-	// still-unknown variables as reset.
+	// snapshot has been merged, or at retry exhaustion — with the node
+	// mutex held. Protocols use it to drain updates held back during
+	// the rejoin window and to mark still-unknown variables as reset.
 	OnDone func()
 
 	epoch   uint32
 	waiting []bool // by peer id: asked this epoch, not yet answered
-	left    int
-	counted bool // attempt already finished (completed or exhausted)
+	left    int    // peers still owed an answer
 	retries int
 	begin   uint64 // virtual tick at Begin
 
 	recoveries int
 	ticks      uint64
+
+	// Scratch reused under mu, so answering or merging a snapshot
+	// allocates nothing beyond the frame itself.
+	ids []int
+	enc Enc
+	dec Dec
 }
 
 // NewRecovery returns the recovery engine for one node, sharing the
-// node's mutex.
-func NewRecovery(cfg Config, node int, mu *sync.Mutex) *Recovery {
+// node's mutex and encoding and merging snapshots with codec.
+func NewRecovery(cfg Config, node int, mu *sync.Mutex, codec StateCodec) *Recovery {
 	return &Recovery{
 		cfg:     cfg,
 		node:    node,
 		mu:      mu,
+		codec:   codec,
 		waiting: make([]bool, cfg.Net.NumNodes()),
 	}
 }
@@ -98,15 +142,10 @@ func (r *Recovery) Begin(peers []int) {
 		r.waiting[p] = true
 	}
 	r.left = len(peers)
-	r.counted = false
 	r.retries = RecoveryMaxRetries
 	r.begin = r.cfg.Net.Clock().Now()
 	if r.left == 0 {
-		r.counted = true
-		r.recoveries++
-		if r.OnDone != nil {
-			r.OnDone()
-		}
+		r.finishLocked(true)
 		r.mu.Unlock()
 		return
 	}
@@ -151,12 +190,7 @@ func (r *Recovery) retry(epoch uint32) {
 	}
 	r.retries--
 	if r.retries <= 0 {
-		r.left = 0
-		r.counted = true
-		r.ticks += r.cfg.Net.Clock().Now() - r.begin
-		if r.OnDone != nil {
-			r.OnDone()
-		}
+		r.finishLocked(false)
 		r.mu.Unlock()
 		r.cfg.Faultf(r.node, "mcs: node %d recovery: peers %v unresponsive after %d snapshot retries",
 			r.node, silent, RecoveryMaxRetries)
@@ -167,42 +201,84 @@ func (r *Recovery) retry(epoch uint32) {
 	r.cfg.Net.Clock().After(RecoveryRetryTicks, func() { r.retry(epoch) })
 }
 
-// Accept validates one snapshot response, called with the node mutex
-// held before the protocol merges the body. It reports whether the
-// response is fresh — this epoch, from a peer still owed an answer;
-// stale-epoch responses and fault-layer duplicates report false and
-// must be dropped unmerged. After merging a fresh response's body the
-// protocol calls FinishResponse.
-func (r *Recovery) Accept(from int, epoch uint32) bool {
-	if epoch != r.epoch || from < 0 || from >= len(r.waiting) || !r.waiting[from] {
-		return false
-	}
-	r.waiting[from] = false
-	r.left--
-	return true
-}
-
-// FinishResponse closes out one accepted response, called with the
-// node mutex held after the body has been merged. The response that
-// settled the last waiting peer completes the attempt: its duration is
-// accounted and OnDone runs. Ordering matters — the completion hook
-// must see the final response's state already merged, which is why
-// Accept alone does not complete.
-func (r *Recovery) FinishResponse() {
-	if r.left != 0 || r.counted {
+// Handle serves one recovery frame; protocols route both recovery
+// kinds to it from their transport handler. A snapshot request is
+// answered with this node's state for the variables the requester is
+// owed. A snapshot response is merged only when it is fresh — this
+// epoch, from a peer still owed an answer — so stale-epoch responses
+// and fault-layer duplicates are dropped unmerged; the response that
+// settles the last waiting peer completes the attempt after its body
+// is merged (OnDone must see the final state). Malformed frames are
+// reported through Config.Faultf. Handle recycles the frame.
+func (r *Recovery) Handle(msg netsim.Message) {
+	defer RecycleFrame(msg)
+	d := DecOf(msg.Payload)
+	epoch := d.U32()
+	if err := d.Err(); err != nil {
+		r.cfg.Faultf(r.node, "mcs: node %d: malformed %s from %d: %v", r.node, msg.Kind, msg.From, err)
 		return
 	}
-	r.counted = true
-	r.recoveries++
+	if msg.From < 0 || msg.From >= len(r.waiting) {
+		r.cfg.Faultf(r.node, "mcs: node %d: %s from unknown node %d", r.node, msg.Kind, msg.From)
+		return
+	}
+	if msg.Kind == KindSnapReq {
+		r.respond(msg.From, epoch)
+		return
+	}
+	r.mu.Lock()
+	if epoch != r.epoch || !r.waiting[msg.From] {
+		r.mu.Unlock()
+		return
+	}
+	r.waiting[msg.From] = false
+	r.left--
+	r.dec = d
+	err := r.codec.MergeStateLocked(&r.dec, msg.From, Rejoin)
+	if r.left == 0 {
+		r.finishLocked(true)
+	}
+	r.mu.Unlock()
+	if err != nil {
+		r.cfg.Faultf(r.node, "mcs: node %d: malformed snapshot from %d: %v", r.node, msg.From, err)
+	}
+}
+
+// finishLocked closes the attempt: its duration is accounted, a
+// completion (as opposed to retry exhaustion) counts as a recovery, and
+// OnDone runs.
+func (r *Recovery) finishLocked(completed bool) {
+	r.left = 0
+	if completed {
+		r.recoveries++
+	}
 	r.ticks += r.cfg.Net.Clock().Now() - r.begin
 	if r.OnDone != nil {
 		r.OnDone()
 	}
 }
 
-// Recovering reports whether a recovery attempt is still waiting on
-// peers; called with the node mutex held.
-func (r *Recovery) Recovering() bool { return r.left > 0 }
+// respond answers one snapshot request with the requester's owed
+// state.
+func (r *Recovery) respond(to int, epoch uint32) {
+	r.mu.Lock()
+	r.enc.SetBuf(GetPayload())
+	r.enc.U32(epoch)
+	r.ids = r.codec.RejoinVarsLocked(to, r.ids[:0])
+	data, vars := r.codec.EncodeStateLocked(&r.enc, to, r.ids, Rejoin)
+	payload := r.enc.Bytes()
+	r.enc.SetBuf(nil)
+	r.mu.Unlock()
+	r.cfg.Net.Send(netsim.Message{
+		From:      r.node,
+		To:        to,
+		Kind:      KindSnapResp,
+		Payload:   payload,
+		CtrlBytes: len(payload) - data,
+		DataBytes: data,
+		Vars:      vars,
+	})
+}
 
 // Cancel abandons any live attempt (the node crashed again before its
 // peers answered); called with the node mutex held. Outstanding
@@ -214,7 +290,6 @@ func (r *Recovery) Cancel() {
 		r.waiting[i] = false
 	}
 	r.left = 0
-	r.counted = true
 }
 
 // Stats returns the completed recovery handshakes and their summed
@@ -225,17 +300,6 @@ func (r *Recovery) Stats() (recoveries int, ticks uint64) {
 	recoveries, ticks = r.recoveries, r.ticks
 	r.mu.Unlock()
 	return recoveries, ticks
-}
-
-// RecoveryEpochOf decodes the epoch header shared by both recovery
-// kinds, reporting the requester/responder epoch and whether the frame
-// was well-formed so far.
-func RecoveryEpochOf(d *Dec) (uint32, error) {
-	epoch := d.U32()
-	if err := d.Err(); err != nil {
-		return 0, fmt.Errorf("recovery frame: %w", err)
-	}
-	return epoch, nil
 }
 
 // WriteTag identifies the write a replica entry currently holds:

@@ -100,7 +100,7 @@ func New(cfg mcs.Config) ([]*Node, error) {
 			buffered: make(map[int]bufferedUpd),
 		}
 		node.applied = sync.NewCond(&node.mu)
-		node.rcv = mcs.NewRecovery(cfg, i, &node.mu)
+		node.rcv = mcs.NewRecovery(cfg, i, &node.mu, node)
 		node.rcv.OnDone = node.finishRejoinLocked
 		node.rcf = mcs.NewReconfig(cfg, i, &node.mu, node, ix)
 		nodes[i] = node
@@ -248,10 +248,8 @@ func (n *Node) handle(msg netsim.Message) {
 		n.sequence(msg)
 	case KindUpdate:
 		n.applyUpdate(msg)
-	case mcs.KindSnapReq:
-		n.handleSnapReq(msg)
-	case mcs.KindSnapResp:
-		n.handleSnapResp(msg)
+	case mcs.KindSnapReq, mcs.KindSnapResp:
+		n.rcv.Handle(msg)
 	default:
 		if mcs.IsEpochKind(msg.Kind) {
 			n.rcf.Handle(msg)
@@ -390,103 +388,6 @@ func (n *Node) settleOwnLocked(writer, wseq int) {
 	}
 }
 
-// handleSnapReq answers a rejoining peer with the responder's apply
-// cursor and the full tagged replica state: sequencer broadcasts reach
-// every node, so any live peer's state is a prefix of the single global
-// order and covers every variable.
-func (n *Node) handleSnapReq(msg netsim.Message) {
-	defer mcs.RecycleFrame(msg)
-	d := mcs.DecOf(msg.Payload)
-	epoch := d.U32()
-	if err := d.Err(); err != nil {
-		n.cfg.Faultf(n.id, "seqcons: node %d: malformed snapshot request from %d: %v", n.id, msg.From, err)
-		return
-	}
-	var enc mcs.Enc
-	enc.SetBuf(mcs.GetPayload())
-	enc.U32(epoch)
-	n.mu.Lock()
-	enc.U32(uint32(n.nextGSeq))
-	countPos := enc.Len()
-	enc.U32(0)
-	var vars []string
-	count, data := 0, 0
-	for xi := range n.tags {
-		t := n.tags[xi]
-		if t.Writer < 0 {
-			continue
-		}
-		v := n.replicas.Get(xi)
-		enc.U32(uint32(t.Writer)).U32(uint32(t.WSeq)).VarVal(xi, v)
-		vars = append(vars, n.ix.Name(xi))
-		data += len(v)
-		count++
-	}
-	n.mu.Unlock()
-	enc.PatchU32(countPos, uint32(count))
-	payload := enc.Bytes()
-	n.cfg.Net.Send(netsim.Message{
-		From:      n.id,
-		To:        msg.From,
-		Kind:      mcs.KindSnapResp,
-		Payload:   payload,
-		CtrlBytes: len(payload) - data,
-		DataBytes: data,
-		Vars:      vars,
-	})
-}
-
-// handleSnapResp adopts a peer snapshot wholesale when it extends the
-// longest prefix adopted so far: every snapshot is a prefix of the one
-// global order, so the highest apply cursor wins and its per-variable
-// state is at least as new, variable by variable, as any shorter one.
-func (n *Node) handleSnapResp(msg netsim.Message) {
-	defer mcs.RecycleFrame(msg)
-	d := mcs.DecOf(msg.Payload)
-	epoch := d.U32()
-	respGSeq := int(d.U32())
-	count := int(d.U32())
-	if err := d.Err(); err != nil {
-		n.cfg.Faultf(n.id, "seqcons: node %d: malformed snapshot from %d: %v", n.id, msg.From, err)
-		return
-	}
-	n.mu.Lock()
-	if !n.rcv.Accept(msg.From, epoch) {
-		n.mu.Unlock()
-		return
-	}
-	adopt := respGSeq > n.nextGSeq
-	if adopt {
-		n.nextGSeq = respGSeq
-	}
-	for k := 0; k < count; k++ {
-		w := int(d.U32())
-		s := int(d.U32())
-		xi, v := d.VarVal()
-		if err := d.Err(); err != nil {
-			n.mu.Unlock()
-			n.cfg.Faultf(n.id, "seqcons: node %d: malformed snapshot entry from %d: %v", n.id, msg.From, err)
-			return
-		}
-		if xi < 0 || xi >= n.ix.NumVars() || w < 0 || w >= n.cfg.Net.NumNodes() {
-			n.mu.Unlock()
-			n.cfg.Faultf(n.id, "seqcons: node %d: snapshot entry from %d names unknown VarID %d / writer %d",
-				n.id, msg.From, xi, w)
-			return
-		}
-		if !adopt {
-			continue
-		}
-		n.replicas.Set(xi, v)
-		n.tags[xi] = mcs.WriteTag{Writer: w, WSeq: s}
-		if rec := n.cfg.Recorder; rec != nil {
-			rec.RecordRecover(n.id, w, s, n.ix.Name(xi), v)
-		}
-	}
-	n.rcv.FinishResponse()
-	n.mu.Unlock()
-}
-
 // finishRejoinLocked closes the rejoin window (Recovery.OnDone, node
 // lock held): buffered updates below the adopted cursor — pre-crash
 // stragglers the snapshot already covers — are purged, the drain
@@ -575,16 +476,77 @@ func (n *Node) ReconfigFenceLocked(next *sharegraph.Index) {}
 // every node already holds every variable's state.
 func (n *Node) ReconfigTransferVarsLocked(next *sharegraph.Index) []int { return nil }
 
-// ReconfigEncodeLocked is never reached — no node requests transfers —
-// and encodes an empty body (mcs.ReconfigHooks).
-func (n *Node) ReconfigEncodeLocked(enc *mcs.Enc, requester int, varIDs []int, next *sharegraph.Index) (data int, vars []string) {
-	return 0, nil
+// RejoinVarsLocked lists every variable (mcs.StateCodec): sequencer
+// broadcasts reach every node, so any live peer's state is a prefix of
+// the single global order and covers every variable.
+func (n *Node) RejoinVarsLocked(peer int, ids []int) []int {
+	for xi := range n.tags {
+		ids = append(ids, xi)
+	}
+	return ids
 }
 
-// ReconfigMergeLocked is the empty-body counterpart of
-// ReconfigEncodeLocked (mcs.ReconfigHooks).
-func (n *Node) ReconfigMergeLocked(d *mcs.Dec, from int, next *sharegraph.Index) error {
-	return nil
+// EncodeStateLocked writes the tagged value of each written variable
+// of varIDs (mcs.StateCodec), behind the responder's apply cursor on a
+// rejoin. No migration ever asks: every node already holds every
+// variable's state.
+func (n *Node) EncodeStateLocked(enc *mcs.Enc, peer int, varIDs []int, how mcs.Transfer) (data int, vars []string) {
+	if how == mcs.Rejoin {
+		enc.U32(uint32(n.nextGSeq))
+	}
+	countPos := enc.Len()
+	enc.U32(0)
+	count := 0
+	for _, xi := range varIDs {
+		t := n.tags[xi]
+		if t.Writer < 0 {
+			continue
+		}
+		v := n.replicas.Get(xi)
+		enc.U32(uint32(t.Writer)).U32(uint32(t.WSeq)).VarVal(xi, v)
+		vars = append(vars, n.ix.Name(xi))
+		data += len(v)
+		count++
+	}
+	enc.PatchU32(countPos, uint32(count))
+	return data, vars
+}
+
+// MergeStateLocked adopts a rejoin snapshot wholesale when it extends
+// the longest prefix adopted so far (mcs.StateCodec): every snapshot is
+// a prefix of the one global order, so the highest apply cursor wins
+// and its per-variable state is at least as new, variable by variable,
+// as any shorter one.
+func (n *Node) MergeStateLocked(d *mcs.Dec, from int, how mcs.Transfer) error {
+	adopt := true
+	if how == mcs.Rejoin {
+		g := int(d.U32())
+		adopt = g > n.nextGSeq
+		if adopt {
+			n.nextGSeq = g
+		}
+	}
+	count := int(d.U32())
+	for k := 0; k < count; k++ {
+		w := int(d.U32())
+		s := int(d.U32())
+		xi, v := d.VarVal()
+		if err := d.Err(); err != nil {
+			return err
+		}
+		if xi < 0 || xi >= n.ix.NumVars() || w < 0 || w >= n.cfg.Net.NumNodes() {
+			return fmt.Errorf("seqcons: entry names unknown VarID %d / writer %d", xi, w)
+		}
+		if !adopt {
+			continue
+		}
+		n.replicas.Set(xi, v)
+		n.tags[xi] = mcs.WriteTag{Writer: w, WSeq: s}
+		if rec := n.cfg.Recorder; rec != nil {
+			rec.RecordTransfer(how, n.id, w, s, n.ix.Name(xi), v, 0)
+		}
+	}
+	return d.Err()
 }
 
 // ReconfigFlipLocked swaps the access-scoping index

@@ -105,7 +105,7 @@ func New(cfg mcs.Config) ([]*Node, error) {
 		for j := range node.next {
 			node.next[j] = make([]int, ix.NumVars())
 		}
-		node.rcv = mcs.NewRecovery(cfg, i, &node.mu)
+		node.rcv = mcs.NewRecovery(cfg, i, &node.mu, node)
 		node.rcv.OnDone = node.finishRejoinLocked
 		node.rcf = mcs.NewReconfig(cfg, i, &node.mu, node, ix)
 		cfg.ApplyFlushPolicy(&node.mu, node.out)
@@ -205,10 +205,8 @@ func (n *Node) handle(msg netsim.Message) {
 	switch msg.Kind {
 	case KindUpdate:
 		n.handleUpdate(msg)
-	case mcs.KindSnapReq:
-		n.handleSnapReq(msg)
-	case mcs.KindSnapResp:
-		n.handleSnapResp(msg)
+	case mcs.KindSnapReq, mcs.KindSnapResp:
+		n.rcv.Handle(msg)
 	default:
 		if mcs.IsEpochKind(msg.Kind) {
 			n.rcf.Handle(msg)
@@ -307,137 +305,6 @@ func (n *Node) deliverLocked(sender, wseq, xi int, v []byte) {
 	}
 }
 
-// handleSnapReq answers a rejoining peer with, per mutually-replicated
-// written variable: the last applied write's (writer, wseq) tag and
-// value, plus the responder's per-sender receive cursors for the
-// variable's clique — for its own stream the cursor is its write
-// counter, everything it ever issued being reflected in its replica.
-func (n *Node) handleSnapReq(msg netsim.Message) {
-	defer mcs.RecycleFrame(msg)
-	d := mcs.DecOf(msg.Payload)
-	epoch := d.U32()
-	if err := d.Err(); err != nil {
-		n.cfg.Faultf(n.id, "slowpart: node %d: malformed snapshot request from %d: %v", n.id, msg.From, err)
-		return
-	}
-	var enc mcs.Enc
-	enc.SetBuf(mcs.GetPayload())
-	enc.U32(epoch)
-	countPos := enc.Len()
-	enc.U32(0)
-	var vars []string
-	count, data := 0, 0
-	n.mu.Lock()
-	for _, xi := range n.ix.VarIDs(n.id) {
-		t := n.tags[xi]
-		if t.Writer < 0 || !n.ix.Holds(msg.From, xi) {
-			continue
-		}
-		enc.U32(uint32(t.Writer)).U32(uint32(t.WSeq))
-		clique := n.ix.Clique(xi)
-		cursors := 0
-		cursorCountPos := enc.Len()
-		enc.U32(0)
-		for _, s := range clique {
-			if s == msg.From {
-				continue
-			}
-			cur := n.next[s][xi]
-			if s == n.id {
-				cur = n.vseq[xi]
-			}
-			enc.U32(uint32(s)).U32(uint32(cur))
-			cursors++
-		}
-		enc.PatchU32(cursorCountPos, uint32(cursors))
-		v := n.replicas.Get(xi)
-		enc.VarVal(xi, v)
-		vars = append(vars, n.ix.Name(xi))
-		data += len(v)
-		count++
-	}
-	n.mu.Unlock()
-	enc.PatchU32(countPos, uint32(count))
-	payload := enc.Bytes()
-	n.cfg.Net.Send(netsim.Message{
-		From:      n.id,
-		To:        msg.From,
-		Kind:      mcs.KindSnapResp,
-		Payload:   payload,
-		CtrlBytes: len(payload) - data,
-		DataBytes: data,
-		Vars:      vars,
-	})
-}
-
-// handleSnapResp merges one peer snapshot: receive cursors max-merge
-// (the furthest view any responder reports bounds the stragglers worth
-// replaying), values adopt unless the local tag already reflects a
-// same-writer write at least as new.
-func (n *Node) handleSnapResp(msg netsim.Message) {
-	defer mcs.RecycleFrame(msg)
-	d := mcs.DecOf(msg.Payload)
-	epoch := d.U32()
-	count := int(d.U32())
-	if err := d.Err(); err != nil {
-		n.cfg.Faultf(n.id, "slowpart: node %d: malformed snapshot from %d: %v", n.id, msg.From, err)
-		return
-	}
-	n.mu.Lock()
-	if !n.rcv.Accept(msg.From, epoch) {
-		n.mu.Unlock()
-		return
-	}
-	for k := 0; k < count; k++ {
-		w := int(d.U32())
-		s := int(d.U32())
-		cursors := int(d.U32())
-		if err := d.Err(); err != nil {
-			n.mu.Unlock()
-			n.cfg.Faultf(n.id, "slowpart: node %d: malformed snapshot entry from %d: %v", n.id, msg.From, err)
-			return
-		}
-		type cursor struct{ sender, next int }
-		curs := make([]cursor, 0, cursors)
-		for c := 0; c < cursors; c++ {
-			curs = append(curs, cursor{sender: int(d.U32()), next: int(d.U32())})
-		}
-		xi, v := d.VarVal()
-		if err := d.Err(); err != nil {
-			n.mu.Unlock()
-			n.cfg.Faultf(n.id, "slowpart: node %d: malformed snapshot entry from %d: %v", n.id, msg.From, err)
-			return
-		}
-		if xi < 0 || xi >= len(n.replicas) || w < 0 || w >= n.cfg.Net.NumNodes() {
-			n.mu.Unlock()
-			n.cfg.Faultf(n.id, "slowpart: node %d: snapshot entry from %d names unknown VarID %d / writer %d",
-				n.id, msg.From, xi, w)
-			return
-		}
-		for _, c := range curs {
-			if c.sender < 0 || c.sender >= len(n.next) {
-				n.mu.Unlock()
-				n.cfg.Faultf(n.id, "slowpart: node %d: snapshot cursor from %d names unknown sender %d",
-					n.id, msg.From, c.sender)
-				return
-			}
-			if c.sender != n.id && c.next > n.next[c.sender][xi] {
-				n.next[c.sender][xi] = c.next
-			}
-		}
-		if n.tags[xi].Stale(w, s) {
-			continue
-		}
-		n.replicas.Set(xi, v)
-		n.tags[xi] = mcs.WriteTag{Writer: w, WSeq: s}
-		if rec := n.cfg.Recorder; rec != nil {
-			rec.RecordRecover(n.id, w, s, n.ix.Name(xi), v)
-		}
-	}
-	n.rcv.FinishResponse()
-	n.mu.Unlock()
-}
-
 // finishRejoinLocked closes the rejoin window (Recovery.OnDone, node
 // lock held): updates held back during recovery replay through the
 // normal sequencing path against the merged cursors — stragglers the
@@ -529,30 +396,50 @@ func (n *Node) ReconfigFenceLocked(next *sharegraph.Index) {
 // ReconfigTransferVarsLocked lists the variables this node gains in the
 // next epoch (mcs.ReconfigHooks).
 func (n *Node) ReconfigTransferVarsLocked(next *sharegraph.Index) []int {
-	var gained []int
-	for _, xi := range next.VarIDs(n.id) {
-		if !n.ix.Holds(n.id, xi) {
-			gained = append(gained, xi)
-		}
-	}
-	return gained
+	return n.ix.Gained(next, n.id)
 }
 
-// ReconfigEncodeLocked answers a gaining node with the fence-settled
-// tagged value of each requested variable. No receive cursors travel
-// with the transfer: a gained variable's clique changed by
-// definition, so its stream numbering restarts at zero on every
-// clique member at the flip (mcs.ReconfigHooks).
-func (n *Node) ReconfigEncodeLocked(enc *mcs.Enc, requester int, varIDs []int, next *sharegraph.Index) (data int, vars []string) {
+// RejoinVarsLocked lists the variables a rejoining peer shares with
+// this node (mcs.StateCodec).
+func (n *Node) RejoinVarsLocked(peer int, ids []int) []int {
+	return n.ix.AppendShared(ids, n.id, peer)
+}
+
+// EncodeStateLocked writes, per written variable of varIDs, the last
+// applied write's (writer, wseq) tag and value (mcs.StateCodec). A
+// rejoin also carries the responder's per-sender receive cursors for
+// the variable's clique — for its own stream the cursor is its write
+// counter, everything it ever issued being reflected in its replica. A
+// migration carries none: a gained variable's clique changed by
+// definition, so its stream numbering restarts at zero on every clique
+// member at the flip.
+func (n *Node) EncodeStateLocked(enc *mcs.Enc, peer int, varIDs []int, how mcs.Transfer) (data int, vars []string) {
 	countPos := enc.Len()
 	enc.U32(0)
 	count := 0
 	for _, xi := range varIDs {
-		if xi < 0 || xi >= len(n.tags) || n.tags[xi].Writer < 0 {
+		t := n.tags[xi]
+		if t.Writer < 0 {
 			continue
 		}
-		t := n.tags[xi]
 		enc.U32(uint32(t.Writer)).U32(uint32(t.WSeq))
+		if how == mcs.Rejoin {
+			cursors := 0
+			cursorCountPos := enc.Len()
+			enc.U32(0)
+			for _, s := range n.ix.Clique(xi) {
+				if s == peer {
+					continue
+				}
+				cur := n.next[s][xi]
+				if s == n.id {
+					cur = n.vseq[xi]
+				}
+				enc.U32(uint32(s)).U32(uint32(cur))
+				cursors++
+			}
+			enc.PatchU32(cursorCountPos, uint32(cursors))
+		}
 		v := n.replicas.Get(xi)
 		enc.VarVal(xi, v)
 		vars = append(vars, n.ix.Name(xi))
@@ -563,21 +450,43 @@ func (n *Node) ReconfigEncodeLocked(enc *mcs.Enc, requester int, varIDs []int, n
 	return data, vars
 }
 
-// ReconfigMergeLocked adopts one donor's transfer entries: values
-// pass the usual staleness rule and are recorded as migration events
-// — the slow witness raises its per-(sender, variable) frontier from
-// them (mcs.ReconfigHooks).
-func (n *Node) ReconfigMergeLocked(d *mcs.Dec, from int, next *sharegraph.Index) error {
+// MergeStateLocked merges a peer's entries (mcs.StateCodec): receive
+// cursors max-merge (the furthest view any responder reports bounds the
+// stragglers worth replaying), values adopt unless the local tag
+// already reflects a same-writer write at least as new. Migration
+// entries let the slow witness raise its per-(sender, variable)
+// frontier.
+func (n *Node) MergeStateLocked(d *mcs.Dec, from int, how mcs.Transfer) error {
+	type cursor struct{ sender, next int }
+	var curs []cursor
 	count := int(d.U32())
 	for k := 0; k < count; k++ {
 		w := int(d.U32())
 		s := int(d.U32())
+		curs = curs[:0]
+		if how == mcs.Rejoin {
+			cursors := int(d.U32())
+			if err := d.Err(); err != nil {
+				return err
+			}
+			for c := 0; c < cursors && d.Err() == nil; c++ {
+				curs = append(curs, cursor{sender: int(d.U32()), next: int(d.U32())})
+			}
+		}
 		xi, v := d.VarVal()
 		if err := d.Err(); err != nil {
 			return err
 		}
 		if xi < 0 || xi >= len(n.replicas) || w < 0 || w >= n.cfg.Net.NumNodes() {
-			return fmt.Errorf("slowpart: transfer entry names unknown VarID %d / writer %d", xi, w)
+			return fmt.Errorf("slowpart: entry names unknown VarID %d / writer %d", xi, w)
+		}
+		for _, c := range curs {
+			if c.sender < 0 || c.sender >= len(n.next) {
+				return fmt.Errorf("slowpart: cursor names unknown sender %d", c.sender)
+			}
+			if c.sender != n.id && c.next > n.next[c.sender][xi] {
+				n.next[c.sender][xi] = c.next
+			}
 		}
 		if n.tags[xi].Stale(w, s) {
 			continue
@@ -585,7 +494,7 @@ func (n *Node) ReconfigMergeLocked(d *mcs.Dec, from int, next *sharegraph.Index)
 		n.replicas.Set(xi, v)
 		n.tags[xi] = mcs.WriteTag{Writer: w, WSeq: s}
 		if rec := n.cfg.Recorder; rec != nil {
-			rec.RecordMigrate(n.id, w, s, n.ix.Name(xi), v)
+			rec.RecordTransfer(how, n.id, w, s, n.ix.Name(xi), v, 0)
 		}
 	}
 	return d.Err()

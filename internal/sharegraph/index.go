@@ -272,6 +272,31 @@ func (ix *Index) Neighbors(p int) []int {
 	return out
 }
 
+// AppendShared appends to dst the VarIDs both p and q hold under this
+// index, ascending: the variables a recovery snapshot between the two
+// may mention.
+func (ix *Index) AppendShared(dst []int, p, q int) []int {
+	for _, id := range ix.varsOf[p] {
+		if ix.holds[q][id] {
+			dst = append(dst, id)
+		}
+	}
+	return dst
+}
+
+// Gained returns the VarIDs p holds under next but not under this
+// index, ascending: the replicas p must fetch before it can serve the
+// next epoch.
+func (ix *Index) Gained(next *Index, p int) []int {
+	var out []int
+	for _, id := range next.varsOf[p] {
+		if !ix.holds[p][id] {
+			out = append(out, id)
+		}
+	}
+	return out
+}
+
 // idxPtr wraps atomic.Pointer so Placement's zero-value-unfriendly
 // construction keeps working (NewPlacement allocates the struct).
 type idxPtr = atomic.Pointer[Index]
